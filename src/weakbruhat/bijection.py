@@ -4,9 +4,9 @@ a permutation and the whole symmetric group.
 For separable pi the map from {u <= pi} x {v >= pi} is a bijection onto
 S_n.  check_bijection verifies that extensionally from the actual
 intervals; invert_phi reconstructs the unique preimage of a target w by
-recursion over pi's block structure, self-verifying its answer (and
-falling back to brute-force search at small sizes) since the
-construction is easy to get subtly wrong.
+recursion over pi's block structure, verifying its answer and raising
+InternalInversionFailure if the check fails, since the construction is
+easy to get subtly wrong.
 """
 
 from __future__ import annotations
@@ -127,9 +127,8 @@ def _construct(pi: Permutation, w: Permutation):
 def invert_phi(pi: Permutation, w: Permutation):
     """The unique (u, v) with u <= pi <= v and phi(u, v) = w.
 
-    The recursive construction is always verified before returning; if
-    it ever misfires, small sizes fall back to searching the pair table
-    directly.
+    The recursive construction is always verified before returning; a
+    pair that fails the check raises InternalInversionFailure.
 
     >>> u, v = invert_phi(Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4)))
     >>> print(u, v)
@@ -144,10 +143,6 @@ def invert_phi(pi: Permutation, w: Permutation):
     u, v = _construct(pi, w)
     if phi(u, v) == w and leq_weak(u, pi) and leq_weak(pi, v):
         return u, v
-    if pi.size <= 6:
-        for (bu, bv), bw in build_pair_table(pi).entries.items():
-            if bw == w:
-                return bu, bv
     raise InternalInversionFailure(
         f"no verified preimage of {w} for pi = {pi} (construction gave {u}, {v})"
     )

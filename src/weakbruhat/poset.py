@@ -13,6 +13,7 @@ per element, so comparisons are O(1) and the extension walks are cheap.
 from __future__ import annotations
 
 from itertools import product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
@@ -21,12 +22,6 @@ from .qpoly import IntPoly
 
 SIZE_GUARD = 10  # linear extension work is exponential beyond this
 OP_SIZE_GUARD = 8
-
-# Coefficients of one generating function are packed into a single big
-# integer, 64 bits apiece; counts of partial extensions stay far below
-# 2^64 for every size the guard admits.
-_PACK = 64
-_PACK_MASK = (1 << _PACK) - 1
 
 
 class Poset:
@@ -75,6 +70,16 @@ class Poset:
         self.ground = g
         self._index = index
         self._gt = tuple(gt)
+
+    @classmethod
+    def _from_closed_masks(cls, ground: tuple[int, ...], gt: tuple[int, ...]) -> "Poset":
+        """Trusted constructor: gt must already be an irreflexive,
+        transitively closed relation on ground, one mask per element."""
+        p = cls.__new__(cls)
+        p.ground = ground
+        p._index = {a: i for i, a in enumerate(ground)}
+        p._gt = gt
+        return p
 
     @property
     def size(self) -> int:
@@ -154,14 +159,15 @@ def inversion_poset(pi: Permutation) -> Poset:
     >>> inversion_poset(Permutation((3, 4, 1, 2, 5))).covers()
     ((1, 2), (2, 5), (3, 4), (4, 5))
     """
-    w = pi.word
-    rels = [
-        (w[i], w[j])
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] < w[j]
-    ]
-    return Poset(range(1, pi.size + 1), rels)
+    # The relation is transitively closed as it stands (a before b
+    # before c with a < b < c puts a before c with a < c), so one pass
+    # from the right gives each letter the larger letters after it.
+    gt = [0] * pi.size
+    seen = 0
+    for a in reversed(pi.word):
+        gt[a - 1] = seen >> a << a
+        seen |= 1 << (a - 1)
+    return Poset._from_closed_masks(tuple(range(1, pi.size + 1)), tuple(gt))
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
@@ -224,6 +230,14 @@ def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
     return [Permutation(w) for w in _extension_words(p)]
 
 
+def _pack_width(n: int) -> int:
+    """Bits per coefficient slot in le_gf for an n-element poset.  Every
+    coefficient attached to an order ideal counts some of its linear
+    extensions, so it is at most n! and never carries into the next
+    slot."""
+    return factorial(n).bit_length() + 1
+
+
 def le_gf(p: Poset, force: bool = False) -> IntPoly:
     """Generating function of linear extensions by inversions of the
     extension word.
@@ -238,6 +252,7 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
     """
     _check_size(p, force)
     n = p.size
+    pack = _pack_width(n)
     preds = p._pred_masks()
     full = (1 << n) - 1
     dp = {0: 1}
@@ -252,15 +267,16 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
                 t ^= b
                 e = b.bit_length() - 1
                 if preds[e] & placed == preds[e]:
-                    shift = _PACK * ((b - 1) & rem).bit_count()
+                    shift = pack * ((b - 1) & rem).bit_count()
                     key = placed | b
                     ndp[key] = get(key, 0) + (acc << shift)
         dp = ndp
     packed = dp[full]
+    mask = (1 << pack) - 1
     coeffs = []
     while packed:
-        coeffs.append(packed & _PACK_MASK)
-        packed >>= _PACK
+        coeffs.append(packed & mask)
+        packed >>= pack
     return IntPoly(coeffs)
 
 

@@ -228,6 +228,7 @@ def q_factorial(n: int) -> IntPoly:
     return q_factorial(n - 1) * q_int(n)
 
 
+@lru_cache(maxsize=None)
 def q_binomial(n: int, m: int) -> IntPoly:
     """Gaussian binomial [n]!/([m]![n-m]!), exact by construction.
 

@@ -1,14 +1,18 @@
-"""Separable permutations: detection, separating trees, and the
+"""Separable permutations: recognition, separating trees, and the
 closed-form rank generating functions they admit.
 
-A permutation is separable when it avoids both 3142 and 2413;
-equivalently it decomposes recursively into blocks, recorded here as a
-binary separating tree whose internal nodes are positive (left block of
-smaller values) or negative (left block of larger values).  Two
-independent evaluation routes are kept side by side on purpose: a
-recursion over block splits, and a closed formula read off the tree.
-Tests confirm they agree with each other and with brute-force interval
-enumeration.
+A permutation is separable when it decomposes recursively into blocks:
+at every level some prefix carries either the lowest or the highest
+values of its block.  Recognition follows that definition directly, by
+splitting at the smallest prefix block until every block is a single
+letter.  The split is recorded here as a binary separating tree whose
+internal nodes are positive (left block of smaller values) or negative
+(left block of larger values).  The classical characterisation, that
+the separable permutations are exactly those avoiding 3142 and 2413, is
+kept as a cross-check in the tests.  Two independent evaluation routes
+are kept side by side on purpose: a recursion over block splits, and a
+closed formula read off the tree.  Tests confirm they agree with each
+other and with brute-force interval enumeration.
 """
 
 from __future__ import annotations
@@ -23,18 +27,33 @@ from .qpoly import ONE, IntPoly, q_binomial, q_factorial, q_int
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-_FORBIDDEN = ((3, 1, 4, 2), (2, 4, 1, 3))
-
 
 def is_separable(pi: Permutation) -> bool:
-    """True when pi avoids both 3142 and 2413.
+    """True when pi splits into prefix blocks at every level.
+
+    This is equivalent to avoiding 3142 and 2413: both patterns are
+    indecomposable under direct and skew sums, so every occurrence lies
+    inside one side of a split.  Both sides of a split are patterns of
+    pi, so taking the smallest split at each level loses nothing.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
     >>> is_separable(Permutation((2, 4, 1, 3)))
     False
     """
-    return not any(pi.contains_pattern(p) for p in _FORBIDDEN)
+    return _splits(pi.word, 1, pi.size)
+
+
+def _splits(word, lo: int, hi: int) -> bool:
+    if len(word) == 1:
+        return True
+    found = _scan_prefix_blocks(word, lo, hi)
+    if found is None:
+        return False
+    m, kind = found
+    if kind == "low-high":
+        return _splits(word[:m], lo, lo + m - 1) and _splits(word[m:], lo + m, hi)
+    return _splits(word[:m], hi - m + 1, hi) and _splits(word[m:], lo, hi - m)
 
 
 @dataclass(frozen=True)
@@ -278,18 +297,22 @@ def gf_below_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the lower interval by recursion on
     block splits: a low-high split multiplies the pieces, a high-low
     split adds a Gaussian binomial factor for interleaving the blocks.
+    The recursion is its own separability test: it raises NotSeparable
+    at the first block with no prefix split.
     """
-    if not is_separable(pi):
-        raise NotSeparable(f"{pi} contains 3142 or 2413")
-    return _below_rec(pi.word)
+    try:
+        return _below_rec(pi.word)
+    except NotSeparable as exc:
+        raise NotSeparable(f"{pi} is not separable: {exc}") from None
 
 
 def gf_above_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the upper interval; dual recursion
     (the binomial factor attaches to low-high splits instead)."""
-    if not is_separable(pi):
-        raise NotSeparable(f"{pi} contains 3142 or 2413")
-    return _above_rec(pi.word)
+    try:
+        return _above_rec(pi.word)
+    except NotSeparable as exc:
+        raise NotSeparable(f"{pi} is not separable: {exc}") from None
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

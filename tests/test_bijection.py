@@ -6,6 +6,7 @@ at size 4."""
 
 import pytest
 
+from weakbruhat import bijection
 from weakbruhat.bijection import (
     PAIR_TABLE_GUARD,
     build_pair_table,
@@ -14,7 +15,7 @@ from weakbruhat.bijection import (
     phi,
     phi_prime,
 )
-from weakbruhat.errors import GuardExceeded
+from weakbruhat.errors import GuardExceeded, InternalInversionFailure
 from weakbruhat.perm import Permutation, all_permutations, compose, identity, longest_element
 from weakbruhat.separable import is_separable
 from weakbruhat.weak_order import interval
@@ -70,6 +71,13 @@ def test_invert_phi_round_trip(n):
             assert phi(u, v) == w
             assert u in below
             assert v in above
+
+
+def test_invert_phi_raises_on_a_wrong_construction(monkeypatch):
+    pi, w = Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4))
+    monkeypatch.setattr(bijection, "_construct", lambda pi, w: (pi, pi))
+    with pytest.raises(InternalInversionFailure, match=str(pi)):
+        invert_phi(pi, w)
 
 
 def test_invert_phi_size_mismatch():

@@ -13,6 +13,7 @@ from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.poset import (
     Poset,
     _op_values_ideal_dp,
+    _pack_width,
     descent_gf,
     disjoint_union,
     inversion_poset,
@@ -62,6 +63,19 @@ def test_inversion_poset_fixture():
     assert inversion_poset(Permutation((1, 2, 3))).relations() == ((1, 2), (1, 3), (2, 3))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_poset_matches_explicit_pairs(n):
+    for pi in all_permutations(n):
+        w = pi.word
+        pairs = [(w[i], w[j]) for i in range(n) for j in range(i + 1, n) if w[i] < w[j]]
+        want = Poset(range(1, n + 1), pairs)
+        got = inversion_poset(pi)
+        assert got.ground == want.ground
+        assert got.relations() == want.relations()
+        assert got.covers() == want.covers()
+        assert got == want
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_antichain_le_gf_is_q_factorial(n):
     assert le_gf(antichain(n)) == q_factorial(n)
@@ -93,6 +107,28 @@ def test_le_gf_matches_extension_listing():
         for e in exts:
             hist[e.length] += 1
         assert tuple(hist) == gf.coeffs
+
+
+def test_le_gf_exact_past_64_bit_coefficients():
+    # Four disjoint 10-element chains: the extensions are the shuffles,
+    # counted by a q-multinomial whose largest coefficient has 66 bits.
+    p = Poset(
+        range(1, 41), [(10 * k + i, 10 * k + i + 1) for k in range(4) for i in range(1, 10)]
+    )
+    f10 = q_factorial(10)
+    want = q_factorial(40).exact_div(f10 * f10 * f10 * f10)
+    assert max(want.coeffs).bit_length() > 64
+    assert le_gf(p, force=True) == want
+
+
+def test_pack_width_holds_every_coefficient():
+    # [n]! is the antichain's generating function; its largest
+    # coefficient first needs more than 64 bits at n = 22.
+    assert max(q_factorial(21).coeffs) < 2**64 <= max(q_factorial(22).coeffs)
+    assert _pack_width(20) <= 64 < _pack_width(21)
+    for n in range(1, 30):
+        assert factorial(n) < 2 ** _pack_width(n)
+        assert max(q_factorial(n).coeffs) < 2 ** _pack_width(n)
 
 
 def test_descent_gf_antichain_is_eulerian():

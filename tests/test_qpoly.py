@@ -59,6 +59,16 @@ def test_q_binomial_pascal(n, m_frac):
         assert q_binomial(n, m) == q_binomial(n - 1, m - 1) + q_to_m * q_binomial(n - 1, m)
 
 
+def test_q_binomial_cached_value_is_exact_and_unshared():
+    cached = q_binomial(9, 4)
+    fresh = q_factorial(9).exact_div(q_factorial(4) * q_factorial(5))
+    assert cached == fresh
+    before = cached.coeffs
+    _ = cached * cached + q_int(3) - cached
+    assert q_binomial(9, 4) is cached
+    assert cached.coeffs == before == fresh.coeffs
+
+
 def test_q_binomial_rejects_bad_args():
     with pytest.raises(ValueError):
         q_binomial(3, 4)

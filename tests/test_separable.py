@@ -32,12 +32,57 @@ def separable_words(n):
     return [p for p in all_permutations(n) if is_separable(p)]
 
 
+def avoids_3142_and_2413(pi):
+    return not (pi.contains_pattern((3, 1, 4, 2)) or pi.contains_pattern((2, 4, 1, 3)))
+
+
+@st.composite
+def separable_word(draw, n):
+    """Random direct or skew sum of two smaller separable words."""
+    if n == 1:
+        return (1,)
+    m = draw(st.integers(1, n - 1))
+    left, right = draw(separable_word(m)), draw(separable_word(n - m))
+    if draw(st.booleans()):
+        return left + tuple(a + m for a in right)
+    return tuple(a + n - m for a in left) + right
+
+
 def test_is_separable_fixtures():
     assert not is_separable(Permutation((2, 4, 1, 3)))
     assert not is_separable(Permutation((3, 1, 4, 2)))
     assert is_separable(Permutation((4, 2, 3, 1)))
     assert all(is_separable(p) for p in all_permutations(3))
     assert is_separable(Permutation((2, 4, 1, 3, 5)).complement()) is False
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_is_separable_matches_pattern_avoidance(n):
+    for pi in all_permutations(n):
+        assert is_separable(pi) == avoids_3142_and_2413(pi), pi
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(9, 14).flatmap(
+        lambda n: st.one_of(st.permutations(range(1, n + 1)), separable_word(n))
+    )
+)
+def test_is_separable_matches_pattern_avoidance_beyond_exhaustive(word):
+    pi = Permutation(word)
+    assert is_separable(pi) == avoids_3142_and_2413(pi)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_recursions_reject_exactly_the_nonseparable_words(n):
+    for pi in all_permutations(n):
+        if avoids_3142_and_2413(pi):
+            gf_below_recursive(pi)
+            gf_above_recursive(pi)
+            continue
+        for route in (gf_below_recursive, gf_above_recursive):
+            with pytest.raises(NotSeparable, match=str(pi)):
+                route(pi)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

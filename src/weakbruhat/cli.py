@@ -25,6 +25,7 @@ from .errors import (
     NonzeroRemainder,
     Not231Avoiding,
     NotSeparable,
+    UsageError,
 )
 from .perm import Permutation, identity, longest_element, parse_permutation
 from .poset import inversion_poset, le_gf
@@ -41,10 +42,6 @@ from .separable import (
 from .survey import MODES, default_workers, report_json, scan
 from .verify import run_suite, suite_names
 from .weak_order import hasse_dot, interval, interval_json, rank_gf
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_perm(text: str) -> Permutation:
@@ -78,9 +75,9 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _memory_note(n: int) -> None:
-    # rough peak: one Python object row per permutation
-    mb = factorial(n) * 150 / 1e6
+def _memory_note(objects: int) -> None:
+    # rough peak: one Python object row per enumerated object
+    mb = objects * 150 / 1e6
     print(f"guard override active; memory estimate ~{max(1, round(mb))} MB", file=sys.stderr)
 
 
@@ -95,7 +92,8 @@ def _gf_pair(pi: Permutation, force: bool) -> tuple[IntPoly, IntPoly]:
 def _cmd_analyze(args) -> int:
     pi = _parse_perm(args.perm)
     if args.force:
-        _memory_note(pi.size)
+        # neither route enumerates S_n; le_gf walks at most 2^n order ideals
+        _memory_note(2**pi.size)
     below, above = _gf_pair(pi, args.force)
     sep = is_separable(pi)
     product = below * above == q_factorial(pi.size)
@@ -156,7 +154,7 @@ def _cmd_tree(args) -> int:
 def _cmd_interval(args) -> int:
     pi = _parse_perm(args.perm)
     if args.force:
-        _memory_note(pi.size)
+        _memory_note(factorial(pi.size))
     if args.side == "below":
         iv = interval(identity(pi.size), pi, force=args.force)
     else:
@@ -207,7 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_survey(args) -> int:
     if args.force:
-        _memory_note(args.n)
+        _memory_note(factorial(args.n))
     workers = args.workers if args.workers is not None else default_workers()
     report = scan(
         args.n,
@@ -226,7 +224,7 @@ def _cmd_survey(args) -> int:
 def _cmd_bijection(args) -> int:
     pi = _parse_perm(args.perm)
     if args.force:
-        _memory_note(pi.size)
+        _memory_note(factorial(pi.size))
     if args.invert is not None:
         w = _parse_perm(args.invert)
         u, v = invert_phi(pi, w)

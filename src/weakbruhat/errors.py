@@ -31,3 +31,8 @@ class GuardExceeded(ValueError):
 
 class CheckpointError(ValueError):
     """A survey checkpoint does not match the data on disk."""
+
+
+class UsageError(ValueError):
+    """An argument lies outside the range its command accepts; the CLI
+    reports it as a usage error (exit code 2)."""

@@ -311,6 +311,7 @@ def _ideal_masks(p: Poset) -> list[int]:
 
 
 def _op_values_bruteforce(p: Poset, m_max: int) -> list[int]:
+    # Reference route for `verify des` and the tests: tries every map.
     n = p.size
     idx = {a: i for i, a in enumerate(p.ground)}
     cover_pairs = [(idx[a], idx[b]) for a, b in p.covers()]
@@ -351,8 +352,6 @@ def order_polynomial_values(p: Poset, m_max: int, force: bool = False) -> list[i
             f"m_max {m_max} exceeds the guard (size + 2 = {p.size + 2}); "
             "pass force=True (--force) to override"
         )
-    if p.size <= 6:
-        return _op_values_bruteforce(p, m_max)
     return _op_values_ideal_dp(p, m_max)
 
 

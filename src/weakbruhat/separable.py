@@ -13,6 +13,10 @@ kept as a cross-check in the tests.  Two independent evaluation routes
 are kept side by side on purpose: a recursion over block splits, and a
 closed formula read off the tree.  Tests confirm they agree with each
 other and with brute-force interval enumeration.
+
+Each route is written once, for the lower interval [id, pi].  The upper
+interval [pi, w0] is its complement dual: read backwards it is
+[id, pi^c], and complementing flips every sign of the separating tree.
 """
 
 from __future__ import annotations
@@ -181,9 +185,6 @@ def separating_tree(pi: Permutation, largest: bool = False) -> SeparatingTree:
     >>> t.root.sign, t.root.right.sign, t.root.right.left.sign
     ('negative', 'negative', 'positive')
     """
-    if not is_separable(pi):
-        raise NotSeparable(f"{pi} contains 3142 or 2413")
-
     def build(word, lo: int, hi: int) -> TreeNode:
         if len(word) == 1:
             return Leaf(word[0])
@@ -213,56 +214,47 @@ def _internal_nodes(root: TreeNode):
             stack.append((node.right, node))
 
 
+def _closed_formula(tree: SeparatingTree, sign: str) -> IntPoly:
+    """Ratio of q-factorials over the maximal runs of equal sign in the
+    tree: a non-root internal node whose parent has the other sign
+    contributes the q-factorial of its leaf count, to the numerator
+    when its sign is `sign` and to the denominator otherwise; the root
+    contributes [n]! to the numerator when its sign is `sign`."""
+    root = tree.root
+    if isinstance(root, Leaf):
+        return ONE
+    num, den = ONE, ONE
+    for node, parent in _internal_nodes(root):
+        if parent is not None and parent.sign == node.sign:
+            continue
+        if node.sign == sign:
+            num = num * q_factorial(node.size)
+        elif parent is not None:
+            den = den * q_factorial(node.size)
+    return num.exact_div(den)
+
+
 def gf_below_closed(tree: SeparatingTree) -> IntPoly:
     """Closed formula for the rank generating function of the interval
-    from the identity up to the tree's permutation.
-
-    Collect the negative nodes whose parent is not negative and the
-    positive nodes whose parent is not positive (root and leaves
-    excluded from both); the value is the ratio of the q-factorials of
-    their leaf counts, times [n]! when the root is negative.
+    from the identity up to the tree's permutation: negative runs go in
+    the numerator, positive runs in the denominator.
 
     >>> print(gf_below_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + 2*q + 2*q^2 + 2*q^3 + q^4
     """
-    root = tree.root
-    if isinstance(root, Leaf):
-        return ONE
-    num, den = ONE, ONE
-    for node, parent in _internal_nodes(root):
-        if parent is None:
-            continue
-        if node.sign == NEGATIVE and parent.sign != NEGATIVE:
-            num = num * q_factorial(node.size)
-        elif node.sign == POSITIVE and parent.sign != POSITIVE:
-            den = den * q_factorial(node.size)
-    if root.sign == NEGATIVE:
-        num = num * q_factorial(root.size)
-    return num.exact_div(den)
+    return _closed_formula(tree, NEGATIVE)
 
 
 def gf_above_closed(tree: SeparatingTree) -> IntPoly:
-    """Mirror of gf_below_closed for the interval from the permutation
-    up to the reversal: the ratio is inverted and [n]! attaches to a
-    positive root instead.
+    """Closed formula for the interval from the permutation up to the
+    reversal.  This is the complement dual of gf_below_closed:
+    complementing the word flips every sign of its tree, so the
+    positive runs go in the numerator instead.
 
     >>> print(gf_above_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + q + q^2
     """
-    root = tree.root
-    if isinstance(root, Leaf):
-        return ONE
-    num, den = ONE, ONE
-    for node, parent in _internal_nodes(root):
-        if parent is None:
-            continue
-        if node.sign == POSITIVE and parent.sign != POSITIVE:
-            num = num * q_factorial(node.size)
-        elif node.sign == NEGATIVE and parent.sign != NEGATIVE:
-            den = den * q_factorial(node.size)
-    if root.sign == POSITIVE:
-        num = num * q_factorial(root.size)
-    return num.exact_div(den)
+    return _closed_formula(tree, POSITIVE)
 
 
 def _below_rec(word) -> IntPoly:
@@ -279,18 +271,11 @@ def _below_rec(word) -> IntPoly:
     return value
 
 
-def _above_rec(word) -> IntPoly:
-    if len(word) == 1:
-        return ONE
-    lo, hi = min(word), max(word)
-    found = _scan_prefix_blocks(word, lo, hi)
-    if found is None:
-        raise NotSeparable(f"block {word} has no prefix split")
-    m, kind = found
-    value = _above_rec(word[:m]) * _above_rec(word[m:])
-    if kind == "low-high":
-        value = q_binomial(len(word), m) * value
-    return value
+def _recursion(pi: Permutation, word) -> IntPoly:
+    try:
+        return _below_rec(word)
+    except NotSeparable as exc:
+        raise NotSeparable(f"{pi} is not separable: {exc}") from None
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:
@@ -300,19 +285,15 @@ def gf_below_recursive(pi: Permutation) -> IntPoly:
     The recursion is its own separability test: it raises NotSeparable
     at the first block with no prefix split.
     """
-    try:
-        return _below_rec(pi.word)
-    except NotSeparable as exc:
-        raise NotSeparable(f"{pi} is not separable: {exc}") from None
+    return _recursion(pi, pi.word)
 
 
 def gf_above_recursive(pi: Permutation) -> IntPoly:
-    """Rank generating function of the upper interval; dual recursion
-    (the binomial factor attaches to low-high splits instead)."""
-    try:
-        return _above_rec(pi.word)
-    except NotSeparable as exc:
-        raise NotSeparable(f"{pi} is not separable: {exc}") from None
+    """Rank generating function of the upper interval, by complement
+    duality: [pi, w0] read backwards is [id, pi^c], so this is the
+    lower recursion on the complement, reversed.  NotSeparable names
+    pi itself."""
+    return _recursion(pi, pi.complement().word).reverse()
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:
@@ -339,9 +320,9 @@ def gf_below_231(pi: Permutation) -> IntPoly:
 
 def gf_above_from_complement(pi: Permutation) -> IntPoly:
     """Upper interval generating function obtained by dividing [n]! by
-    the lower one; the division is exact for separable input."""
-    if not is_separable(pi):
-        raise NotSeparable(f"{pi} contains 3142 or 2413")
+    the lower one; the division is exact for separable input.  It is
+    kept as an independent check on the complement-dual routes
+    gf_above_recursive and gf_above_closed."""
     return q_factorial(pi.size).exact_div(gf_below_recursive(pi))
 
 

@@ -23,7 +23,7 @@ from itertools import islice, permutations
 from math import factorial
 from multiprocessing import get_context
 
-from .errors import CheckpointError, GuardExceeded, NonzeroRemainder
+from .errors import CheckpointError, GuardExceeded, NonzeroRemainder, UsageError
 from .perm import Permutation, identity
 from .poset import inversion_poset, le_gf
 from .qpoly import IntPoly, is_cyclotomic_product, q_factorial
@@ -253,6 +253,8 @@ def scan(
     counts = _Counts()
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
 
     if out is None:
         for rec in _iter_record_tuples(n, mode, workers, start=0, force=force):

@@ -15,11 +15,11 @@ from itertools import combinations
 from math import comb, factorial
 
 from .bijection import check_bijection, invert_phi, phi
-from .errors import InternalInversionFailure
+from .errors import InternalInversionFailure, UsageError
 from .perm import Permutation, all_permutations, identity, longest_element
 from .poset import (
     Poset,
-    _op_values_ideal_dp,
+    _op_values_bruteforce,
     descent_gf,
     disjoint_union,
     inversion_poset,
@@ -334,7 +334,7 @@ def suite_des(n_max: int = 5, force: bool = False) -> SuiteResult:
                 if total != omega[m - 1]:
                     identity_fails.add(pi)
                     break
-            if _op_values_ideal_dp(p, m_max) != omega:
+            if _op_values_bruteforce(p, m_max) != omega:
                 route_fails.add(pi)
     return SuiteResult(
         "des",
@@ -575,6 +575,8 @@ SUITES = {
 def run_suite(name: str, n: int | None = None, force: bool = False) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if n is not None and n < 1:
+        raise UsageError(f"suite size n must be >= 1, got {n}")
     fn, default_n = SUITES[name]
     return fn(default_n if n is None else n, force=force)
 

@@ -1,6 +1,5 @@
 """Intervals in the weak order on S_n: enumeration, rank generating
-functions, saturated chain counts, reduced words, and the full
-comparability matrix for one symmetric group.
+functions, saturated chain counts, reduced words, and DOT/JSON export.
 
 Interval enumeration walks upward from the bottom through covers,
 pruning by comparison with the top, so the work is proportional to the
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GuardExceeded, IncomparableEndpoints
-from .perm import Permutation, all_permutations, leq_weak
+from .perm import Permutation, leq_weak
 from .qpoly import IntPoly
 
 INTERVAL_GUARD = 10
@@ -140,70 +139,6 @@ def reduced_words(pi: Permutation) -> set[tuple[int, ...]]:
         return out
 
     return words(pi)
-
-
-class ComparabilityMatrix:
-    """Bit-packed matrix M[u][v] = (u <= v) over all of S_n in
-    lexicographic word order."""
-
-    __slots__ = ("n", "words", "_index", "_packed", "below_counts")
-
-    def __init__(self, n, words, packed, below_counts):
-        self.n = n
-        self.words = words
-        self._index = {w: i for i, w in enumerate(words)}
-        self._packed = packed
-        self.below_counts = below_counts
-
-    def index(self, pi: Permutation) -> int:
-        return self._index[pi.word]
-
-    def get(self, u, v) -> bool:
-        i = u if isinstance(u, int) else self.index(u)
-        j = v if isinstance(v, int) else self.index(v)
-        byte = self._packed[i, j >> 3]
-        return bool(byte >> (7 - (j & 7)) & 1)
-
-
-def _inversion_mask(word: tuple[int, ...], n: int) -> int:
-    # bit per value pair (a, b), a < b, set when a appears after b
-    mask = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = word[i], word[j]
-            if a > b:
-                lo, hi = b, a
-                mask |= 1 << ((lo - 1) * n - lo * (lo - 1) // 2 + (hi - lo - 1))
-    return mask
-
-
-def comparability_matrix(n: int, force: bool = False) -> ComparabilityMatrix:
-    """Comparability of every pair in S_n at once.
-
-    u <= v in the weak order exactly when the inversion pairs of u form
-    a subset of those of v, so each permutation becomes one machine
-    word and a row is a vectorized subset test.
-    """
-    import numpy as np
-
-    if n > 8 and not force:
-        raise GuardExceeded(
-            f"comparability matrix guarded at n <= 8 (got {n}); "
-            "pass force=True (--force) to override"
-        )
-    words = tuple(p.word for p in all_permutations(n))
-    total = len(words)
-    masks = np.fromiter(
-        (_inversion_mask(w, n) for w in words), dtype=np.uint64, count=total
-    )
-    row_bytes = (total + 7) // 8
-    packed = np.empty((total, row_bytes), dtype=np.uint8)
-    below_counts = np.zeros(total, dtype=np.int64)
-    for i in range(total):
-        row = (masks & masks[i]) == masks[i]
-        below_counts += row
-        packed[i] = np.packbits(row)
-    return ComparabilityMatrix(n, words, packed, below_counts)
 
 
 def interval_json(iv: Interval) -> dict:

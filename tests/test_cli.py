@@ -198,3 +198,39 @@ def test_force_prints_memory_note(capsys):
     code, out, err = run(capsys, "analyze", "4132", "--force")
     assert code == 0
     assert "MB" in err or err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "formula", "--n", "0"),
+        ("verify", "formula", "--n", "-3"),
+        ("survey", "--n", "4", "--workers", "-2"),
+        ("survey", "--n", "4", "--workers", "0"),
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error:" in err
+    assert "pass:" not in out
+
+
+def test_library_callers_get_the_range_checks_too():
+    from weakbruhat.errors import UsageError
+    from weakbruhat.survey import scan
+    from weakbruhat.verify import run_suite
+
+    with pytest.raises(UsageError):
+        run_suite("formula", n=0)
+    with pytest.raises(UsageError):
+        scan(4, workers=-2)
+
+
+def test_force_memory_note_on_analyze_counts_order_ideals(capsys):
+    # a separable 20-letter word; neither analyze route enumerates S_20
+    word = ",".join(str(a) for a in (1, 3, 2, *range(4, 21)))
+    code, _, err = run(capsys, "--force", "analyze", word)
+    assert code == 0
+    mb = int(err.split("~")[1].split()[0])
+    assert mb * 1e6 <= 2**20 * 150

@@ -73,6 +73,17 @@ def test_is_separable_matches_pattern_avoidance_beyond_exhaustive(word):
     assert is_separable(pi) == avoids_3142_and_2413(pi)
 
 
+@settings(max_examples=40)
+@given(st.integers(9, 14).flatmap(separable_word))
+def test_upper_routes_agree_beyond_exhaustive(word):
+    pi = Permutation(word)
+    above = gf_above_recursive(pi)
+    assert gf_above_closed(separating_tree(pi)) == above
+    assert gf_above_closed(separating_tree(pi, largest=True)) == above
+    assert gf_above_from_complement(pi) == above
+    assert gf_below_recursive(pi) * above == q_factorial(pi.size)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_recursions_reject_exactly_the_nonseparable_words(n):
     for pi in all_permutations(n):

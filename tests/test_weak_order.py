@@ -1,6 +1,5 @@
-"""Interval enumeration, saturated chains, reduced words, and the
-packed comparability matrix, checked against each other and against
-direct replay of the definitions."""
+"""Interval enumeration, saturated chains and reduced words, checked
+against each other and against direct replay of the definitions."""
 
 from math import factorial
 
@@ -19,7 +18,6 @@ from weakbruhat.perm import (
 from weakbruhat.qpoly import q_factorial
 from weakbruhat.weak_order import (
     all_saturated_chains,
-    comparability_matrix,
     hasse_dot,
     interval,
     interval_json,
@@ -90,25 +88,6 @@ def test_chains_match_words():
 def test_chains_between_incomparable_raise():
     with pytest.raises(IncomparableEndpoints):
         saturated_chains(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
-
-
-def test_comparability_matrix_matches_leq():
-    cm = comparability_matrix(4)
-    perms = list(all_permutations(4))
-    index = {w: i for i, w in enumerate(cm.words)}
-    for u in perms:
-        for v in perms:
-            assert cm.get(u, v) == leq_weak(u, v)
-    for i, w in enumerate(cm.words):
-        below = sum(1 for u in perms if leq_weak(u, Permutation(w)))
-        assert cm.below_counts[i] == below
-    assert cm.below_counts[index[(4, 3, 2, 1)]] == 24
-    assert cm.below_counts[index[(1, 2, 3, 4)]] == 1
-
-
-def test_comparability_matrix_guard():
-    with pytest.raises(GuardExceeded, match="force"):
-        comparability_matrix(9)
 
 
 def test_interval_json_shape():

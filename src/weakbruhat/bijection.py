@@ -31,11 +31,6 @@ def phi(u: Permutation, v: Permutation) -> Permutation:
     return compose(u.inverse(), v)
 
 
-def phi_prime(u: Permutation, v: Permutation) -> Permutation:
-    """compose(inverse(v), u); the inverse permutation of phi(u, v)."""
-    return compose(v.inverse(), u)
-
-
 @dataclass(frozen=True)
 class PairTable:
     pi: Permutation

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from math import factorial
 
 from .bijection import build_pair_table, check_bijection, invert_phi
@@ -39,7 +40,7 @@ from .separable import (
     tree_dot,
     tree_json,
 )
-from .survey import MODES, default_workers, report_json, scan
+from .survey import scan
 from .verify import run_suite, suite_names
 from .weak_order import hasse_dot, interval, interval_json, rank_gf
 
@@ -206,16 +207,10 @@ def _cmd_verify(args) -> int:
 def _cmd_survey(args) -> int:
     if args.force:
         _memory_note(factorial(args.n))
-    workers = args.workers if args.workers is not None else default_workers()
     report = scan(
-        args.n,
-        mode=args.mode,
-        out=args.out,
-        resume=args.resume,
-        workers=workers,
-        force=args.force,
+        args.n, out=args.out, resume=args.resume, workers=args.workers, force=args.force
     )
-    data = report_json(report)
+    data = asdict(report)
     rows = [(key, str(value)) for key, value in data.items()]
     _emit(args, data, rows)
     return 0
@@ -314,7 +309,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="stream per-permutation records to a CSV")
     p.add_argument("--resume", action="store_true", help="continue from a checkpoint")
-    p.add_argument("--mode", choices=MODES, default="formula-accelerated")
     p.add_argument("--workers", type=int, default=None, help="process count (default: cpu count capped by BRUHAT_THREADS)")
     p.set_defaults(handler=_cmd_survey)
 

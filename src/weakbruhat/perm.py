@@ -109,10 +109,6 @@ class Permutation:
             self.times_s(i) for i in range(1, len(w)) if w[i - 1] < w[i]
         )
 
-    def lower_covers(self) -> tuple["Permutation", ...]:
-        """Weak order covers below: swap any descent, length - 1."""
-        return tuple(self.times_s(i) for i in sorted(self.descent_set()))
-
     def contains_pattern(self, pattern) -> bool:
         """Naive subsequence scan for an order-isomorphic copy.
 

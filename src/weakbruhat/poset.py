@@ -355,26 +355,6 @@ def order_polynomial_values(p: Poset, m_max: int, force: bool = False) -> list[i
     return _op_values_ideal_dp(p, m_max)
 
 
-def poset_json(p: Poset) -> dict:
-    return {"n": p.size, "covers": [list(c) for c in p.covers()]}
-
-
-def poset_dot(p: Poset) -> str:
-    """Hasse diagram in DOT form, elements grouped by height."""
-    heights = {}
-    for a in p.ground:
-        below = [b for b in p.ground if p.less(b, a)]
-        heights[a] = 1 + max((heights[b] for b in below), default=-1) if below else 0
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    for h in sorted(set(heights.values())):
-        row = " ".join(f'"{a}";' for a in p.ground if heights[a] == h)
-        lines.append(f"  {{ rank=same; {row} }}")
-    for a, b in p.covers():
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
 if __name__ == "__main__":
     import doctest
 

@@ -188,14 +188,6 @@ class IntPoly:
                 parts.append(("+ " if c > 0 else "- ") + term)
         return " ".join(parts)
 
-    def coeff_strings(self) -> list[str]:
-        """Machine form: coefficients as decimal strings, ascending."""
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_coeff_strings(cls, strings: Iterable[str]) -> "IntPoly":
-        return cls(int(s) for s in strings)
-
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))

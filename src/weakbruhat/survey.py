@@ -3,12 +3,14 @@ function of its lower interval and four derived predicates (separable,
 rank-symmetric, unimodal, cyclotomic product, divisor of [n]!).
 
 Separable permutations go through the block-split recursion;
-non-separable ones go through linear extensions of the inversion poset,
-which computes the same interval generating function by an entirely
-different route.  Scans stream records in lexicographic word order, so
-output files are deterministic and a checkpoint (record count plus a
-running SHA-256 of the emitted bytes) makes interrupted runs resumable
-with byte-identical results.
+non-separable ones go through linear extensions of the inversion poset.
+That is the only record route; interval BFS stays as the cross-check in
+`verify ff` and the tests.  Every scan, with or without an output file,
+consumes one chunk stream (serial at one worker, a fork pool
+otherwise), in lexicographic word order, so output files are
+deterministic and a checkpoint (record count plus a running SHA-256 of
+the emitted bytes) makes interrupted runs resumable with byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from hashlib import sha256
 from itertools import islice, permutations
@@ -24,13 +26,12 @@ from math import factorial
 from multiprocessing import get_context
 
 from .errors import CheckpointError, GuardExceeded, NonzeroRemainder, UsageError
-from .perm import Permutation, identity
+from .perm import Permutation
 from .poset import inversion_poset, le_gf
 from .qpoly import IntPoly, is_cyclotomic_product, q_factorial
 from .separable import gf_below_recursive, is_separable
-from .weak_order import interval, rank_gf
+from .weak_order import interval  # noqa: F401  (the benchmark's tracer wraps this binding)
 
-MODES = ("exact-bruteforce", "formula-accelerated")
 SURVEY_GUARD = 8
 SURVEY_HARD_LIMIT = 9
 _CHUNK = 512
@@ -100,42 +101,38 @@ def _predicates(gf: IntPoly, n: int) -> tuple[bool, bool, bool, bool]:
     return result
 
 
-def _gf_below(pi: Permutation, mode: str, force: bool = False) -> IntPoly:
-    if mode == "exact-bruteforce":
-        return rank_gf(interval(identity(pi.size), pi, force=force))
+def _gf_below(pi: Permutation) -> IntPoly:
+    # no force needed: SURVEY_HARD_LIMIT <= poset.SIZE_GUARD
     if is_separable(pi):
         return gf_below_recursive(pi)
-    return le_gf(inversion_poset(pi), force=force)
+    return le_gf(inversion_poset(pi))
 
 
-def _record_tuple(word: tuple[int, ...], mode: str, force: bool = False):
+def _record_tuple(word: tuple[int, ...]):
     pi = Permutation(word)
     sep = is_separable(pi)
-    gf = _gf_below(pi, mode, force)
+    gf = _gf_below(pi)
     if gf.coeffs[0] != 1 or gf.degree != pi.length or any(c < 0 for c in gf.coeffs):
         raise AssertionError(f"malformed generating function for {pi}: {gf.coeffs}")
     sym, uni, cyc, div = _predicates(gf, pi.size)
     return (str(pi), sep, gf.coeffs, sym, uni, cyc, div)
 
 
-def _scan_chunk(args):
-    mode, words = args
-    return [_record_tuple(w, mode) for w in words]
+def _scan_chunk(words):
+    return [_record_tuple(w) for w in words]
 
 
-def iter_records(n: int, mode: str = "formula-accelerated", force: bool = False):
+def iter_records(n: int, force: bool = False):
     """Single-process record stream in lexicographic word order."""
-    _check_scan_args(n, mode, force)
-    for word in permutations(range(1, n + 1)):
-        t = _record_tuple(word, mode, force)
-        yield SurveyRecord(t[0], t[1], IntPoly(t[2]), t[3], t[4], t[5], t[6])
+    _check_scan_args(n, force)
+    for chunk in _iter_chunk_results(n, workers=1, start=0):
+        for t in chunk:
+            yield SurveyRecord(t[0], t[1], IntPoly(t[2]), t[3], t[4], t[5], t[6])
 
 
-def _check_scan_args(n: int, mode: str, force: bool) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown scan mode {mode!r}; expected one of {MODES}")
+def _check_scan_args(n: int, force: bool) -> None:
     if n < 1:
-        raise ValueError(f"scan needs n >= 1, got {n}")
+        raise UsageError(f"scan needs n >= 1, got {n}")
     if n > SURVEY_HARD_LIMIT:
         raise GuardExceeded(f"surveys beyond n = {SURVEY_HARD_LIMIT} are not supported")
     if n > SURVEY_GUARD and not force:
@@ -210,8 +207,8 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _write_checkpoint(path: str, n: int, mode: str, completed: int, nbytes: int, digest: str) -> None:
-    meta = {"n": n, "mode": mode, "completed": completed, "bytes": nbytes, "sha256": digest}
+def _write_checkpoint(path: str, n: int, completed: int, nbytes: int, digest: str) -> None:
+    meta = {"n": n, "completed": completed, "bytes": nbytes, "sha256": digest}
     _atomic_write(path, json.dumps(meta).encode())
 
 
@@ -224,21 +221,8 @@ def _chunked_words(n: int, start: int, size: int):
         yield chunk
 
 
-def report_json(report: SurveyReport) -> dict:
-    return {
-        "n": report.n,
-        "total": report.total,
-        "count_separable": report.count_separable,
-        "count_rank_symmetric": report.count_rank_symmetric,
-        "count_symmetric_cyclotomic": report.count_symmetric_cyclotomic,
-        "count_symmetric_nondividing": report.count_symmetric_nondividing,
-        "wall_time": report.wall_time,
-    }
-
-
 def scan(
     n: int,
-    mode: str = "formula-accelerated",
     out: str | None = None,
     resume: bool = False,
     workers: int | None = None,
@@ -247,7 +231,7 @@ def scan(
     """Survey all of S_n.  With out set, stream a CSV there (plus a
     .ckpt checkpoint while running and a .summary.json at the end);
     resume=True continues an interrupted scan from its checkpoint."""
-    _check_scan_args(n, mode, force)
+    _check_scan_args(n, force)
     t0 = time.monotonic()
     total = factorial(n)
     counts = _Counts()
@@ -257,8 +241,9 @@ def scan(
         raise UsageError(f"workers must be >= 1, got {workers}")
 
     if out is None:
-        for rec in _iter_record_tuples(n, mode, workers, start=0, force=force):
-            counts.add(rec[1], rec[3], rec[5], rec[6])
+        for chunk in _iter_chunk_results(n, workers, 0):
+            for rec in chunk:
+                counts.add(rec[1], rec[3], rec[5], rec[6])
         return _make_report(n, total, counts, t0)
 
     partial = out + ".partial"
@@ -267,14 +252,14 @@ def scan(
     start = 0
 
     if resume and os.path.exists(ckpt):
-        start, prefix = _load_checkpoint(ckpt, out, partial, n, mode)
+        start, prefix = _load_checkpoint(ckpt, out, partial, n)
         hasher.update(prefix)
         _aggregate_rows(prefix.decode().splitlines()[1:], counts)
         if start == total:
             if os.path.exists(partial):
                 os.replace(partial, out)
             report = _make_report(n, total, counts, t0)
-            _atomic_write(out + ".summary.json", json.dumps(report_json(report)).encode())
+            _atomic_write(out + ".summary.json", json.dumps(asdict(report)).encode())
             return report
         with open(partial, "r+b") as fh:
             fh.truncate(len(prefix))
@@ -284,12 +269,12 @@ def scan(
         header = CSV_HEADER.encode()
         sink.write(header)
         hasher.update(header)
-        _write_checkpoint(ckpt, n, mode, 0, len(header), hasher.hexdigest())
+        _write_checkpoint(ckpt, n, 0, len(header), hasher.hexdigest())
 
     nbytes = sink.tell()
     completed = start
     try:
-        pending = _iter_chunk_results(n, mode, workers, start)
+        pending = _iter_chunk_results(n, workers, start)
         for chunk in pending:
             for rec in chunk:
                 row = _format_row(rec).encode()
@@ -300,13 +285,13 @@ def scan(
             completed += len(chunk)
             sink.flush()
             os.fsync(sink.fileno())
-            _write_checkpoint(ckpt, n, mode, completed, nbytes, hasher.hexdigest())
+            _write_checkpoint(ckpt, n, completed, nbytes, hasher.hexdigest())
     finally:
         sink.close()
 
     os.replace(partial, out)
     report = _make_report(n, total, counts, t0)
-    _atomic_write(out + ".summary.json", json.dumps(report_json(report)).encode())
+    _atomic_write(out + ".summary.json", json.dumps(asdict(report)).encode())
     return report
 
 
@@ -322,19 +307,18 @@ def _make_report(n: int, total: int, counts: _Counts, t0: float) -> SurveyReport
     )
 
 
-def _load_checkpoint(ckpt: str, out: str, partial: str, n: int, mode: str):
+def _load_checkpoint(ckpt: str, out: str, partial: str, n: int):
     try:
         with open(ckpt, "rb") as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {ckpt}: {exc}") from exc
-    for key in ("n", "mode", "completed", "bytes", "sha256"):
+    for key in ("n", "completed", "bytes", "sha256"):
         if key not in meta:
             raise CheckpointError(f"checkpoint {ckpt} is missing {key!r}")
-    if meta["n"] != n or meta["mode"] != mode:
+    if meta["n"] != n:
         raise CheckpointError(
-            f"checkpoint {ckpt} was written by a different scan "
-            f"(n={meta['n']}, mode={meta['mode']})"
+            f"checkpoint {ckpt} was written by a different scan (n={meta['n']})"
         )
     stream = partial if os.path.exists(partial) else out
     if not os.path.exists(stream):
@@ -362,28 +346,17 @@ def _load_checkpoint(ckpt: str, out: str, partial: str, n: int, mode: str):
     return meta["completed"], prefix
 
 
-def _iter_chunk_results(n: int, mode: str, workers: int, start: int):
+def _iter_chunk_results(n: int, workers: int, start: int):
     chunks = _chunked_words(n, start, _CHUNK)
     remaining = factorial(n) - start
     if workers <= 1 or remaining <= 2 * _CHUNK:
         for chunk in chunks:
-            yield [_record_tuple(w, mode) for w in chunk]
+            yield _scan_chunk(chunk)
         return
     _warm_caches(n)
     ctx = get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(_scan_chunk, ((mode, c) for c in chunks))
-
-
-def _iter_record_tuples(n: int, mode: str, workers: int, start: int, force: bool):
-    if force:
-        # guards already cleared centrally; stay single-process so the
-        # force flag reaches the per-record computations
-        for chunk in _chunked_words(n, start, _CHUNK):
-            yield from (_record_tuple(w, mode, True) for w in chunk)
-        return
-    for chunk in _iter_chunk_results(n, mode, workers, start):
-        yield from chunk
+        yield from pool.imap(_scan_chunk, chunks)
 
 
 if __name__ == "__main__":

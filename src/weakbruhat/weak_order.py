@@ -1,5 +1,5 @@
 """Intervals in the weak order on S_n: enumeration, rank generating
-functions, saturated chain counts, reduced words, and DOT/JSON export.
+functions, saturated chains, reduced words, and DOT/JSON export.
 
 Interval enumeration walks upward from the bottom through covers,
 pruning by comparison with the top, so the work is proportional to the
@@ -68,33 +68,11 @@ def rank_gf(iv: Interval) -> IntPoly:
     return IntPoly(len(r) for r in iv.ranks)
 
 
-def saturated_chains(u: Permutation, v: Permutation) -> int:
-    """Number of saturated chains u = w_0 < w_1 < ... < w_k = v where
-    every step is a cover."""
-    if not leq_weak(u, v):
-        raise IncomparableEndpoints(f"{u} is not below {v} in the weak order")
-    memo: dict[tuple[int, ...], int] = {}
-
-    def count(w: Permutation) -> int:
-        if w == v:
-            return 1
-        got = memo.get(w.word)
-        if got is not None:
-            return got
-        total = 0
-        for c in w.upper_covers():
-            if leq_weak(c, v):
-                total += count(c)
-        memo[w.word] = total
-        return total
-
-    return count(u)
-
-
 def all_saturated_chains(
     u: Permutation, v: Permutation
 ) -> list[tuple[Permutation, ...]]:
-    """Explicit listing companion to saturated_chains."""
+    """Every saturated chain u = w_0 < w_1 < ... < w_k = v, each step a
+    cover."""
     if not leq_weak(u, v):
         raise IncomparableEndpoints(f"{u} is not below {v} in the weak order")
     out: list[tuple[Permutation, ...]] = []

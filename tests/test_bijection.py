@@ -13,7 +13,6 @@ from weakbruhat.bijection import (
     check_bijection,
     invert_phi,
     phi,
-    phi_prime,
 )
 from weakbruhat.errors import GuardExceeded, InternalInversionFailure
 from weakbruhat.perm import Permutation, all_permutations, compose, identity, longest_element
@@ -27,13 +26,6 @@ def test_phi_fixtures():
     assert phi(u, v) == compose(u.inverse(), v)
     assert phi(u, u) == identity(4)
     assert phi(identity(4), v) == v
-
-
-def test_phi_prime_is_inverse_image():
-    u = Permutation((2, 1, 3))
-    v = Permutation((3, 2, 1))
-    assert phi_prime(u, v) == phi(u, v).inverse()
-    assert phi_prime(u, v) == compose(v.inverse(), u)
 
 
 def test_bijection_holds_for_separable_4132():

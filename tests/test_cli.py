@@ -205,6 +205,8 @@ def test_force_prints_memory_note(capsys):
     [
         ("verify", "formula", "--n", "0"),
         ("verify", "formula", "--n", "-3"),
+        ("survey", "--n", "0"),
+        ("survey", "--n", "-1"),
         ("survey", "--n", "4", "--workers", "-2"),
         ("survey", "--n", "4", "--workers", "0"),
     ],
@@ -225,6 +227,15 @@ def test_library_callers_get_the_range_checks_too():
         run_suite("formula", n=0)
     with pytest.raises(UsageError):
         scan(4, workers=-2)
+    with pytest.raises(UsageError):
+        scan(0)
+
+
+def test_survey_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--n", "4", "--mode", "exact-bruteforce"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_force_memory_note_on_analyze_counts_order_ideals(capsys):

@@ -95,11 +95,6 @@ def test_descents_and_covers():
     assert len(ups) == 6 - 1 - 2  # one cover per ascent
     for up in ups:
         assert up.length == pi.length + 1
-    downs = pi.lower_covers()
-    assert len(downs) == 2
-    for down in downs:
-        assert down.length == pi.length - 1
-        assert leq_weak(down, pi)
 
 
 def test_longest_element():

@@ -21,8 +21,6 @@ from weakbruhat.poset import (
     linear_extensions,
     order_polynomial_values,
     ordinal_sum,
-    poset_dot,
-    poset_json,
 )
 from weakbruhat.qpoly import ONE, q_binomial, q_factorial
 
@@ -172,15 +170,6 @@ def test_shifted_relabels():
     p = chain(3).shifted(4)
     assert p.ground == (5, 6, 7)
     assert p.relations() == ((5, 6), (5, 7), (6, 7))
-
-
-def test_json_and_dot():
-    p = Poset((1, 2, 3, 4), [(1, 2), (1, 3), (2, 4), (3, 4)])
-    assert poset_json(p) == {"n": 4, "covers": [[1, 2], [1, 3], [2, 4], [3, 4]]}
-    dot = poset_dot(p)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == 4
-    assert "rank=same" in dot
 
 
 small_relations = st.lists(

@@ -142,11 +142,6 @@ def test_display_forms():
     assert str(IntPoly((0, 1))) == "q"
 
 
-def test_coeff_string_round_trip():
-    p = q_factorial(5)
-    assert IntPoly.from_coeff_strings(p.coeff_strings()) == p
-
-
 def test_is_cyclotomic_product_accepts_q_analogs():
     assert is_cyclotomic_product(ONE)
     for n in range(2, 8):

@@ -1,12 +1,15 @@
-"""Exhaustive scans: record stream, aggregation, the two modes, and the
+"""Exhaustive scans: record stream, aggregation, the BFS cross-check,
+one worker path with and without an output file, and the
 checkpoint/resume contract (interrupted runs finish byte-identical)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from weakbruhat import survey
-from weakbruhat.errors import CheckpointError, GuardExceeded
+from weakbruhat import poset, survey
+from weakbruhat.errors import CheckpointError, GuardExceeded, UsageError
+from weakbruhat.perm import Permutation, identity
 from weakbruhat.survey import (
     SurveyRecord,
     default_workers,
@@ -14,6 +17,7 @@ from weakbruhat.survey import (
     scan,
     schroder,
 )
+from weakbruhat.weak_order import interval, rank_gf
 
 
 def test_schroder_values():
@@ -41,11 +45,33 @@ def test_iter_records_n4():
     assert by_word["4321"].divides_qfact
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_modes_agree(n):
-    fast = list(iter_records(n, mode="formula-accelerated"))
-    brute = list(iter_records(n, mode="exact-bruteforce"))
-    assert fast == brute
+@pytest.mark.parametrize("n", range(1, 7))
+def test_records_match_interval_bfs(n):
+    # the survey's route (recursion or linear extensions) against BFS
+    for rec in iter_records(n):
+        pi = Permutation(tuple(int(c) for c in rec.word))
+        assert rec.gf_below == rank_gf(interval(identity(n), pi)), rec.word
+
+
+def test_force_scan_without_out_uses_the_pool(monkeypatch):
+    monkeypatch.setattr(survey, "_CHUNK", 16)
+    serial = scan(5, workers=1, force=True)
+    contexts = []
+    real = survey.get_context
+
+    def spy(method):
+        contexts.append(method)
+        return real(method)
+
+    monkeypatch.setattr(survey, "get_context", spy)
+    pooled = scan(5, workers=2, force=True)
+    assert contexts == ["fork"]
+    assert replace(pooled, wall_time=0) == replace(serial, wall_time=0)
+
+
+def test_survey_limit_is_within_the_le_gf_guard():
+    # why records need no force of their own: scan's guard is the only one
+    assert survey.SURVEY_HARD_LIMIT <= poset.SIZE_GUARD
 
 
 def test_scan_in_memory_counts():
@@ -88,11 +114,21 @@ class _Trip:
         self.inner = inner
         self.count = 0
 
-    def __call__(self, word, mode, force=False):
+    def __call__(self, word):
         self.count += 1
         if self.count > self.limit:
             raise KeyboardInterrupt("simulated interrupt")
-        return self.inner(word, mode, force)
+        return self.inner(word)
+
+
+def _interrupted_scan(out, monkeypatch):
+    """An S_5 scan into out, in chunks of 16, cut off after 40 records."""
+    monkeypatch.setattr(survey, "_CHUNK", 16)
+    trip = _Trip(40, survey._record_tuple)
+    monkeypatch.setattr(survey, "_record_tuple", trip)
+    with pytest.raises(KeyboardInterrupt):
+        scan(5, out=str(out), workers=1)
+    monkeypatch.setattr(survey, "_record_tuple", trip.inner)
 
 
 def test_resume_after_interrupt_is_byte_identical(tmp_path, monkeypatch):
@@ -100,12 +136,7 @@ def test_resume_after_interrupt_is_byte_identical(tmp_path, monkeypatch):
     scan(5, out=str(clean), workers=1)
 
     out = tmp_path / "s5.csv"
-    monkeypatch.setattr(survey, "_CHUNK", 16)
-    trip = _Trip(40, survey._record_tuple)
-    monkeypatch.setattr(survey, "_record_tuple", trip)
-    with pytest.raises(KeyboardInterrupt):
-        scan(5, out=str(out), workers=1)
-    monkeypatch.setattr(survey, "_record_tuple", trip.inner)
+    _interrupted_scan(out, monkeypatch)
 
     ckpt = json.loads((tmp_path / "s5.csv.ckpt").read_text())
     assert 0 < ckpt["completed"] < 120
@@ -116,6 +147,23 @@ def test_resume_after_interrupt_is_byte_identical(tmp_path, monkeypatch):
     assert report.total == 120
     assert out.read_bytes() == clean.read_bytes()
     assert not (tmp_path / "s5.csv.partial").exists()
+
+
+def test_resume_from_checkpoint_with_a_mode_key(tmp_path, monkeypatch):
+    # checkpoints written before the survey had one route carry "mode"
+    clean = tmp_path / "clean.csv"
+    scan(5, out=str(clean), workers=1)
+
+    out = tmp_path / "s5.csv"
+    _interrupted_scan(out, monkeypatch)
+
+    ckpt = tmp_path / "s5.csv.ckpt"
+    meta = json.loads(ckpt.read_text())
+    meta["mode"] = "exact-bruteforce"
+    ckpt.write_text(json.dumps(meta))
+
+    scan(5, out=str(out), resume=True, workers=1)
+    assert out.read_bytes() == clean.read_bytes()
 
 
 def test_parallel_output_matches_serial(tmp_path, monkeypatch):
@@ -147,12 +195,7 @@ def test_resume_on_completed_run_short_circuits(tmp_path):
 
 def test_resume_rejects_tampered_stream(tmp_path, monkeypatch):
     out = tmp_path / "s5.csv"
-    monkeypatch.setattr(survey, "_CHUNK", 16)
-    trip = _Trip(40, survey._record_tuple)
-    monkeypatch.setattr(survey, "_record_tuple", trip)
-    with pytest.raises(KeyboardInterrupt):
-        scan(5, out=str(out), workers=1)
-    monkeypatch.setattr(survey, "_record_tuple", trip.inner)
+    _interrupted_scan(out, monkeypatch)
 
     partial = tmp_path / "s5.csv.partial"
     data = partial.read_bytes()
@@ -173,9 +216,7 @@ def test_scan_guards():
         scan(9)
     with pytest.raises(GuardExceeded, match="not supported"):
         scan(10, force=True)
-    with pytest.raises(ValueError, match="mode"):
-        scan(3, mode="approximate")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         scan(0)
 
 
@@ -208,6 +249,6 @@ def test_record_tuple_rejects_malformed_gf(monkeypatch):
     # the per-record validation is the survey's own safety net
     from weakbruhat.qpoly import IntPoly
 
-    monkeypatch.setattr(survey, "_gf_below", lambda pi, mode, force=False: IntPoly((1, 1, 1)))
+    monkeypatch.setattr(survey, "_gf_below", lambda pi: IntPoly((1, 1, 1)))
     with pytest.raises(AssertionError, match="malformed"):
-        survey._record_tuple((2, 1), "formula-accelerated")
+        survey._record_tuple((2, 1))

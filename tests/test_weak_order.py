@@ -23,7 +23,6 @@ from weakbruhat.weak_order import (
     interval_json,
     rank_gf,
     reduced_words,
-    saturated_chains,
 )
 
 
@@ -76,9 +75,8 @@ def test_reduced_words_replay():
 
 def test_chains_match_words():
     for pi in all_permutations(4):
-        count = saturated_chains(identity(4), pi)
         chains = all_saturated_chains(identity(4), pi)
-        assert count == len(chains) == len(reduced_words(pi))
+        assert len(chains) == len(reduced_words(pi))
         for c in chains:
             assert c[0] == identity(4) and c[-1] == pi
             for x, y in zip(c, c[1:]):
@@ -87,7 +85,7 @@ def test_chains_match_words():
 
 def test_chains_between_incomparable_raise():
     with pytest.raises(IncomparableEndpoints):
-        saturated_chains(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+        all_saturated_chains(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
 
 
 def test_interval_json_shape():

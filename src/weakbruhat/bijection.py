@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
-from .perm import Permutation, compose, identity, leq_weak, longest_element
+from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element
 from .separable import block_split, is_separable
 from .weak_order import interval
 
@@ -62,7 +62,14 @@ def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
         )
     below = list(interval(identity(pi.size), pi, force=force).elements())
     above = list(interval(pi, longest_element(pi.size), force=force).elements())
-    entries = {(u, v): phi(u, v) for u in below for v in above}
+    # phi(u, v) = inverse(u) v, with the inverse table built once per u
+    entries = {}
+    for u in below:
+        inv = [0] * (pi.size + 1)
+        for i, a in enumerate(u.word, start=1):
+            inv[a] = i
+        for v in above:
+            entries[(u, v)] = _trusted(tuple(map(inv.__getitem__, v.word)))
     return PairTable(pi, entries)
 
 

@@ -1,6 +1,6 @@
 """Permutations in one-line notation, with the operations that drive
-the (right) weak order: inversion count, covers, pattern containment
-and the order test itself.
+the (right) weak order: inversion count, adjacent swaps, pattern
+containment and the order test itself.
 
 A permutation of size n is a word of the integers 1..n, each exactly
 once.  Composition follows (sigma tau)(i) = sigma(tau(i)), so
@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
+
+
+_INT_ONLY = {int}
+_SORTED_WORDS: dict[int, list[int]] = {}  # n -> [1, ..., n], never mutated
 
 
 class Permutation:
@@ -33,10 +37,17 @@ class Permutation:
 
     def __init__(self, word: Iterable[int]):
         w = tuple(word)
-        if not w:
-            raise ValueError("empty word: permutations have size at least 1")
-        if sorted(w) != list(range(1, len(w) + 1)):
-            raise ValueError(f"not a rearrangement of 1..{len(w)}: {w}")
+        n = len(w)
+        ref = _SORTED_WORDS.get(n)
+        if ref is None:
+            if not w:
+                raise ValueError("empty word: permutations have size at least 1")
+            ref = _SORTED_WORDS[n] = list(range(1, n + 1))
+        # exact type: bool and float letters compare equal to ints
+        if set(map(type, w)) != _INT_ONLY:
+            raise ValueError(f"letters must be int: {w}")
+        if sorted(w) != ref:
+            raise ValueError(f"not a rearrangement of 1..{n}: {w}")
         self.word = w
         self._length: int | None = None
 
@@ -78,7 +89,7 @@ class Permutation:
         inv = [0] * self.size
         for i, a in enumerate(self.word, start=1):
             inv[a - 1] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def complement(self) -> "Permutation":
         """Each letter a replaced by n+1-a.
@@ -87,7 +98,7 @@ class Permutation:
         3142
         """
         n = self.size
-        return Permutation(n + 1 - a for a in self.word)
+        return _trusted(tuple(n + 1 - a for a in self.word))
 
     def descent_set(self) -> frozenset[int]:
         """Positions i with word[i] > word[i+1] (1-indexed)."""
@@ -98,16 +109,8 @@ class Permutation:
         """Right product with s_i: swaps word positions i and i+1."""
         if not 1 <= i < self.size:
             raise ValueError(f"transposition index {i} out of range")
-        w = list(self.word)
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(w)
-
-    def upper_covers(self) -> tuple["Permutation", ...]:
-        """Weak order covers above: swap any ascent, length + 1."""
         w = self.word
-        return tuple(
-            self.times_s(i) for i in range(1, len(w)) if w[i - 1] < w[i]
-        )
+        return _trusted(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
 
     def contains_pattern(self, pattern) -> bool:
         """Naive subsequence scan for an order-isomorphic copy.
@@ -134,6 +137,18 @@ class Permutation:
         return False
 
 
+def _trusted(word: tuple[int, ...]) -> Permutation:
+    """A Permutation from a word that is valid by construction (a
+    rearrangement of a valid word, or its inverse or complement),
+    skipping the checks of Permutation(...).  A module-level function
+    rather than a classmethod, so that it works wherever the name
+    Permutation is rebound to a plain callable."""
+    p = object.__new__(Permutation)
+    p.word = word
+    p._length = None
+    return p
+
+
 def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
@@ -155,12 +170,13 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     if sigma.size != tau.size:
         raise ValueError(f"size mismatch: {sigma.size} vs {tau.size}")
     sw = sigma.word
-    return Permutation(sw[t - 1] for t in tau.word)
+    return _trusted(tuple(sw[t - 1] for t in tau.word))
 
 
 def leq_weak(u: Permutation, v: Permutation) -> bool:
-    """Weak order comparison via length additivity:
-    u <= v iff length(u) + length(inverse(u) v) = length(v).
+    """Right weak order comparison by inversion sets: u <= v iff every
+    inversion of u (a value pair b > a with b placed before a) is an
+    inversion of v.  One position table of v, no permutations built.
 
     >>> leq_weak(parse_permutation("2134"), parse_permutation("1243"))
     False
@@ -169,7 +185,19 @@ def leq_weak(u: Permutation, v: Permutation) -> bool:
     """
     if u.size != v.size:
         raise ValueError(f"size mismatch: {u.size} vs {v.size}")
-    return u.length + compose(u.inverse(), v).length == v.length
+    pos = [0] * (v.size + 1)
+    for i, a in enumerate(v.word):
+        pos[a] = i
+    uw = u.word
+    at = [pos[a] for a in uw]
+    for j in range(1, len(uw)):
+        a, pa = uw[j], at[j]
+        for i in range(j):
+            # uw[i] > a is an inversion of u; it fails in v when v
+            # places uw[i] after a
+            if uw[i] > a and at[i] > pa:
+                return False
+    return True
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import GuardExceeded
 from .perm import Permutation

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 from .bijection import check_bijection, invert_phi, phi
 from .errors import InternalInversionFailure, UsageError
-from .perm import Permutation, all_permutations, identity, longest_element
+from .perm import Permutation  # noqa: F401  (the benchmark's tracer wraps this binding)
+from .perm import all_permutations, identity, longest_element
 from .poset import (
     Poset,
     _op_values_bruteforce,
@@ -27,7 +28,7 @@ from .poset import (
     order_polynomial_values,
     ordinal_sum,
 )
-from .qpoly import IntPoly, is_cyclotomic_product, q_binomial, q_factorial
+from .qpoly import is_cyclotomic_product, q_binomial, q_factorial
 from .separable import (
     gf_above_closed,
     gf_above_from_complement,

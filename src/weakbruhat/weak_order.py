@@ -1,8 +1,13 @@
 """Intervals in the weak order on S_n: enumeration, rank generating
 functions, saturated chains, reduced words, and DOT/JSON export.
 
-Interval enumeration walks upward from the bottom through covers,
-pruning by comparison with the top, so the work is proportional to the
+In the right weak order u <= v exactly when the inversion set of u
+(value pairs b > a with b placed before a) is contained in that of v.
+An upper cover w s_i swaps an ascent a < b of w and adds the one
+inversion (a, b), so a cover of some w <= top stays below top exactly
+when top places b before a: one lookup in top's position table.  The
+walks here run on word tuples with that test and build Permutation
+objects only for what they return, so the work is proportional to the
 interval actually returned.
 """
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GuardExceeded, IncomparableEndpoints
-from .perm import Permutation, leq_weak
+from .perm import Permutation, _trusted, leq_weak
 from .qpoly import IntPoly
 
 INTERVAL_GUARD = 10
@@ -37,8 +42,18 @@ class Interval:
             yield from rank
 
 
+def _positions(top: Permutation) -> list[int]:
+    """pos[a] is the word position of letter a in top."""
+    pos = [0] * (top.size + 1)
+    for i, a in enumerate(top.word):
+        pos[a] = i
+    return pos
+
+
 def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Interval:
-    """All w with bottom <= w <= top, by upward BFS with pruning."""
+    """All w with bottom <= w <= top, by upward BFS over covers that
+    stay below top.  Ranks are graded, so each rank only needs to
+    deduplicate itself."""
     if bottom.size != top.size:
         raise ValueError(f"size mismatch: {bottom.size} vs {top.size}")
     if bottom.size > INTERVAL_GUARD and not force:
@@ -48,18 +63,18 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
         )
     if not leq_weak(bottom, top):
         raise IncomparableEndpoints(f"{bottom} is not below {top} in the weak order")
+    pos = _positions(top)
     ranks = []
-    frontier = [bottom]
-    seen = {bottom.word}
+    frontier = {bottom.word}
     while frontier:
-        ranks.append(tuple(sorted(frontier, key=lambda p: p.word)))
-        nxt = []
-        for w in frontier:
-            for c in w.upper_covers():
-                if c.word not in seen and leq_weak(c, top):
-                    seen.add(c.word)
-                    nxt.append(c)
-        frontier = nxt
+        words = sorted(frontier)
+        ranks.append(tuple(map(_trusted, words)))
+        frontier = set()
+        for w in words:
+            for i in range(len(w) - 1):
+                a, b = w[i], w[i + 1]
+                if a < b and pos[b] < pos[a]:
+                    frontier.add(w[:i] + (b, a) + w[i + 2 :])
     return Interval(bottom, top, tuple(ranks))
 
 
@@ -75,20 +90,22 @@ def all_saturated_chains(
     cover."""
     if not leq_weak(u, v):
         raise IncomparableEndpoints(f"{u} is not below {v} in the weak order")
+    pos = _positions(v)
     out: list[tuple[Permutation, ...]] = []
-    chain = [u]
+    chain = [u.word]
 
-    def walk(w: Permutation) -> None:
-        if w == v:
-            out.append(tuple(chain))
+    def walk(w: tuple[int, ...]) -> None:
+        if w == v.word:
+            out.append(tuple(map(_trusted, chain)))
             return
-        for c in w.upper_covers():
-            if leq_weak(c, v):
-                chain.append(c)
-                walk(c)
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a < b and pos[b] < pos[a]:
+                chain.append(w[:i] + (b, a) + w[i + 2 :])
+                walk(chain[-1])
                 chain.pop()
 
-    walk(u)
+    walk(u.word)
     return out
 
 
@@ -103,20 +120,20 @@ def reduced_words(pi: Permutation) -> set[tuple[int, ...]]:
     """
     memo: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
 
-    def words(w: Permutation) -> set[tuple[int, ...]]:
-        if w.length == 0:
-            return {()}
-        got = memo.get(w.word)
+    def words(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+        got = memo.get(w)
         if got is not None:
             return got
         out = set()
-        for i in sorted(w.descent_set()):
-            for r in words(w.times_s(i)):
-                out.add(r + (i,))
-        memo[w.word] = out
-        return out
+        for i in range(1, len(w)):
+            if w[i - 1] > w[i]:
+                for r in words(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]):
+                    out.add(r + (i,))
+        # only the identity has no descent
+        memo[w] = out or {()}
+        return memo[w]
 
-    return words(pi)
+    return words(pi.word)
 
 
 def interval_json(iv: Interval) -> dict:
@@ -129,16 +146,19 @@ def interval_json(iv: Interval) -> dict:
 
 def hasse_dot(iv: Interval) -> str:
     """DOT rendering of the interval's Hasse diagram, one rank per row."""
-    members = {p.word for p in iv.elements()}
+    members = {p.word: p for p in iv.elements()}
     lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for rank in iv.ranks:
         row = " ".join(f'"{p}";' for p in rank)
         lines.append(f"  {{ rank=same; {row} }}")
     for rank in iv.ranks:
-        for w in rank:
-            for c in w.upper_covers():
-                if c.word in members:
-                    lines.append(f'  "{w}" -> "{c}";')
+        for p in rank:
+            w = p.word
+            for i in range(len(w) - 1):
+                if w[i] < w[i + 1]:
+                    c = members.get(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
+                    if c is not None:
+                        lines.append(f'  "{p}" -> "{c}";')
     lines.append("}")
     return "\n".join(lines)
 

@@ -100,3 +100,11 @@ def test_pair_table_guard():
         build_pair_table(big)
     with pytest.raises(GuardExceeded, match="force"):
         check_bijection(big)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pair_table_images_equal_phi(n):
+    for pi in all_permutations(n):
+        for (u, v), w in build_pair_table(pi).entries.items():
+            assert w == phi(u, v)
+            assert w.word == compose(u.inverse(), v).word

@@ -5,7 +5,7 @@ and inversion-set containment."""
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbruhat.perm import (
@@ -18,6 +18,7 @@ from weakbruhat.perm import (
     longest_element,
     parse_permutation,
 )
+from weakbruhat.weak_order import interval
 
 
 def inversion_values(pi):
@@ -32,6 +33,28 @@ def inversion_values(pi):
 perm_words = st.permutations(range(1, 7))
 
 
+def leq_by_length_additivity(u, v):
+    """The earlier weak-order test, kept as a reference:
+    u <= v iff length(u) + length(inverse(u) v) = length(v)."""
+    return u.length + compose(u.inverse(), v).length == v.length
+
+
+@st.composite
+def weak_pairs(draw):
+    """(u, v) with u <= v in S_n, n = 9..14: v at random, u reached from
+    v by swapping descents, each swap one cover down."""
+    n = draw(st.integers(9, 14))
+    v = draw(st.permutations(range(1, n + 1)))
+    u = list(v)
+    for k in draw(st.lists(st.integers(0, n * n), max_size=n * n)):
+        descents = [i for i in range(n - 1) if u[i] > u[i + 1]]
+        if not descents:
+            break
+        i = descents[k % len(descents)]
+        u[i], u[i + 1] = u[i + 1], u[i]
+    return Permutation(u), Permutation(v)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Permutation(())
@@ -41,6 +64,15 @@ def test_validation():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation((1, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "word", [(2.0, 1.0), (True,), (1, True), (2, 1.0, 3), ("1",), (1, "2")]
+)
+def test_non_integer_letters_are_rejected(word):
+    # 2.0 == 2 and True == 1, so only the letter type tells them apart
+    with pytest.raises(ValueError, match="int"):
+        Permutation(word)
 
 
 @given(perm_words)
@@ -91,10 +123,12 @@ def test_complement():
 def test_descents_and_covers():
     pi = Permutation((2, 4, 5, 1, 6, 3))
     assert pi.descent_set() == frozenset({3, 5})
-    ups = pi.upper_covers()
+    # the upper covers of pi are rank 1 of the interval [pi, w0]
+    ups = interval(pi, longest_element(6)).ranks[1]
     assert len(ups) == 6 - 1 - 2  # one cover per ascent
     for up in ups:
         assert up.length == pi.length + 1
+        assert sum(a != b for a, b in zip(pi.word, up.word)) == 2
 
 
 def test_longest_element():
@@ -114,6 +148,22 @@ def test_leq_weak_matches_inversion_containment():
             for v in perms:
                 expected = inversion_values(u) <= inversion_values(v)
                 assert leq_weak(u, v) == expected
+
+
+@settings(max_examples=150)
+@given(weak_pairs(), st.permutations(range(1, 15)))
+def test_leq_weak_matches_length_additivity_large(pair, other):
+    u, v = pair
+    assert leq_weak(u, v) and leq_by_length_additivity(u, v)
+    assert leq_weak(v, u) == leq_by_length_additivity(v, u) == (u == v)
+    # the covers of u: some stay below v and some do not
+    for i in range(1, u.size):
+        if u.word[i - 1] < u.word[i]:
+            c = u.times_s(i)
+            assert leq_weak(c, v) == leq_by_length_additivity(c, v)
+    w = Permutation([a for a in other if a <= u.size])
+    for x, y in ((u, w), (w, u), (v, w), (w, v)):
+        assert leq_weak(x, y) == leq_by_length_additivity(x, y)
 
 
 def test_leq_weak_fixtures():

@@ -1,6 +1,7 @@
 """Interval enumeration, saturated chains and reduced words, checked
 against each other and against direct replay of the definitions."""
 
+import random
 from math import factorial
 
 import pytest
@@ -101,3 +102,61 @@ def test_hasse_dot_edge_count():
     dot = hasse_dot(interval(identity(3), longest_element(3)))
     assert dot.count("->") == 6
     assert dot.count("rank=same") == 4
+
+
+def _inversions(word):
+    return frozenset(
+        (b, a) for i, a in enumerate(word) for b in word[i + 1 :] if a > b
+    )
+
+
+def _filtered_ranks(u, v, perms, inv):
+    """{w : Inv(u) <= Inv(w) <= Inv(v)} by rank, each rank sorted by word."""
+    ranks = [[] for _ in range(v.length - u.length + 1)]
+    for w in perms:
+        if inv[u.word] <= inv[w.word] <= inv[v.word]:
+            ranks[w.length - u.length].append(w.word)
+    return [sorted(r) for r in ranks]
+
+
+def _check_against_filter(u, v, perms, inv):
+    iv = interval(u, v)
+    assert iv.bottom == u and iv.top == v
+    assert [[p.word for p in r] for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interval_matches_inversion_filter_exhaustive(n):
+    perms = list(all_permutations(n))
+    inv = {p.word: _inversions(p.word) for p in perms}
+    pairs = 0
+    for u in perms:
+        for v in perms:
+            if inv[u.word] <= inv[v.word]:
+                pairs += 1
+                _check_against_filter(u, v, perms, inv)
+            else:
+                with pytest.raises(IncomparableEndpoints):
+                    interval(u, v)
+    assert pairs >= len(perms)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_interval_matches_inversion_filter_sampled(n):
+    rng = random.Random(n)
+    perms = list(all_permutations(n))
+    inv = {p.word: _inversions(p.word) for p in perms}
+    for _ in range(40):
+        v = rng.choice(perms)
+        u = rng.choice([w for w in perms if inv[w.word] <= inv[v.word]])
+        _check_against_filter(u, v, perms, inv)
+
+
+def test_saturated_chains_stay_in_the_interval():
+    u, v = Permutation((2, 1, 3, 4)), Permutation((4, 2, 3, 1))
+    members = set(interval(u, v).elements())
+    chains = all_saturated_chains(u, v)
+    assert chains
+    for c in chains:
+        assert set(c) <= members
+        assert [p.length for p in c] == list(range(u.length, v.length + 1))

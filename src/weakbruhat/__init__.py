@@ -42,7 +42,6 @@ from .qpoly import (
 )
 from .separable import (
     SeparatingTree,
-    block_split,
     gf_above_closed,
     gf_above_from_complement,
     gf_above_recursive,
@@ -81,7 +80,6 @@ __all__ = [
     "adjacent_transposition",
     "all_permutations",
     "all_saturated_chains",
-    "block_split",
     "build_pair_table",
     "check_bijection",
     "compose",

@@ -16,7 +16,7 @@ from math import factorial
 
 from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element
-from .separable import block_split, is_separable
+from .separable import NEGATIVE, _split, is_separable
 from .weak_order import interval
 
 PAIR_TABLE_GUARD = 7
@@ -83,6 +83,9 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     False
     """
     table = build_pair_table(pi, force=force)
+    images = {w.word for w in table.entries.values()}
+    if len(images) == len(table.entries) == factorial(pi.size):
+        return BijectionReport(is_bijection=True, collisions=())
     by_image: dict[tuple[int, ...], list] = {}
     for (u, v), w in table.entries.items():
         by_image.setdefault(w.word, []).append((u, v))
@@ -91,39 +94,39 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
         for word, pairs in sorted(by_image.items())
         if len(pairs) > 1
     )
-    full = len(table.entries) == factorial(pi.size) and not collisions
-    return BijectionReport(is_bijection=full, collisions=collisions)
+    return BijectionReport(is_bijection=False, collisions=collisions)
 
 
-def _construct(pi: Permutation, w: Permutation):
-    n = pi.size
-    if n == 1:
-        return pi, pi
-    split = block_split(pi)
+def _construct(p: tuple, w: tuple):
+    """Words (u, v) with u <= p <= v and phi(u, v) = w, for a separable
+    word p and a target w over the letters 1..k."""
+    k = len(p)
+    if k == 1:
+        return p, p
+    split = _split(p, 1, k)
     if split is None:
-        raise NotSeparable(f"{pi} has no prefix block split")
-    if split.kind == "high-low":
+        raise NotSeparable(f"block {p} has no prefix split")
+    sign, (left, _, _), (right, _, _) = split
+    if sign == NEGATIVE:
         # Complements exchange the two interval roles and flip the
-        # split to low-high, so solve there and map the answer back.
-        u2, v2 = _construct(pi.complement(), w.inverse())
-        return v2.complement(), u2.complement()
-    m = split.m
-    pi_a = Permutation(pi.word[:m])
-    pi_b = Permutation(tuple(a - m for a in pi.word[m:]))
-    w1 = Permutation(tuple(a for a in w.word if a <= m))
-    w2 = Permutation(tuple(a - m for a in w.word if a > m))
-    u1, v1 = _construct(pi_a, w1)
-    u2, v2 = _construct(pi_b, w2)
-    u = Permutation(u1.word + tuple(a + m for a in u2.word))
-    v_word = list(v1.word) + [a + m for a in v2.word]
+        # split to positive, so solve there and map the answer back.
+        w_inv = [0] * k
+        for i, a in enumerate(w, start=1):
+            w_inv[a - 1] = i
+        u2, v2 = _construct(tuple(k + 1 - a for a in p), tuple(w_inv))
+        return tuple(k + 1 - a for a in v2), tuple(k + 1 - a for a in u2)
+    m = len(left)
+    u1, v1 = _construct(left, tuple(a for a in w if a <= m))
+    u2, v2 = _construct(tuple(a - m for a in right), tuple(a - m for a in w if a > m))
+    u = u1 + tuple(a + m for a in u2)
+    v = list(v1) + [a + m for a in v2]
     # Shift the low letters rightward to the positions they hold in w,
     # highest of the m first; every adjacent swap passes a high letter,
     # so the result stays above the concatenation in the weak order.
-    targets = [i for i, a in enumerate(w.word, start=1) if a <= m]
-    for p in range(m, 0, -1):
-        letter = v_word.pop(p - 1)
-        v_word.insert(targets[p - 1] - 1, letter)
-    return u, Permutation(v_word)
+    targets = [i for i, a in enumerate(w) if a <= m]
+    for j in range(m - 1, -1, -1):
+        v.insert(targets[j], v.pop(j))
+    return u, tuple(v)
 
 
 def invert_phi(pi: Permutation, w: Permutation):
@@ -142,7 +145,7 @@ def invert_phi(pi: Permutation, w: Permutation):
         raise ValueError(f"size mismatch: {pi.size} vs {w.size}")
     if not is_separable(pi):
         raise NotSeparable(f"{pi} contains 3142 or 2413")
-    u, v = _construct(pi, w)
+    u, v = map(Permutation, _construct(pi.word, w.word))
     if phi(u, v) == w and leq_weak(u, pi) and leq_weak(pi, v):
         return u, v
     raise InternalInversionFailure(

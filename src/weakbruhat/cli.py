@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from math import factorial
@@ -40,7 +39,7 @@ from .separable import (
     tree_dot,
     tree_json,
 )
-from .survey import scan
+from .survey import _atomic_write, scan
 from .verify import run_suite, suite_names
 from .weak_order import hasse_dot, interval, interval_json, rank_gf
 
@@ -52,24 +51,24 @@ def _parse_perm(text: str) -> Permutation:
         raise UsageError(str(exc)) from exc
 
 
-def _print_aligned(rows: list[tuple[str, str]]) -> None:
+def _aligned(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
+    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows)
 
 
 def _emit(args, data: dict, rows: list[tuple[str, str]]) -> None:
     if args.json:
         print(json.dumps(data, indent=2))
     else:
-        _print_aligned(rows)
+        print(_aligned(rows))
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _output(args, text: str) -> None:
+    """Write text to --out (atomically, fsynced) or to stdout."""
+    if args.out:
+        _atomic_write(args.out, text.encode())
+    else:
+        print(text, end="")
 
 
 def _bool(b: bool) -> str:
@@ -145,10 +144,7 @@ def _cmd_tree(args) -> int:
         text = json.dumps(tree_json(tree), indent=2)
     else:
         text = "\n".join(_tree_text(tree.root))
-    if args.out:
-        _write_text(args.out, text + "\n")
-    else:
-        print(text)
+    _output(args, text + "\n")
     return 0
 
 
@@ -167,19 +163,14 @@ def _cmd_interval(args) -> int:
     elif args.json:
         text = json.dumps(interval_json(iv), indent=2)
     else:
-        rows = [
+        text = _aligned([
             ("bottom", str(iv.bottom)),
             ("top", str(iv.top)),
             ("size", str(iv.size)),
             ("rank sizes", ", ".join(str(len(r)) for r in iv.ranks)),
             ("rank gf", str(rank_gf(iv))),
-        ]
-        _print_aligned(rows)
-        return 0
-    if args.out:
-        _write_text(args.out, text + "\n")
-    else:
-        print(text)
+        ])
+    _output(args, text + "\n")
     return 0
 
 
@@ -231,11 +222,7 @@ def _cmd_bijection(args) -> int:
         return 0
     if args.table:
         table = build_pair_table(pi, force=args.force)
-        text = table.to_csv()
-        if args.out:
-            _write_text(args.out, text)
-        else:
-            print(text, end="")
+        _output(args, table.to_csv())
         return 0
     report = check_bijection(pi, force=args.force)
     data = {

@@ -3,11 +3,13 @@ closed-form rank generating functions they admit.
 
 A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
-values of its block.  Recognition follows that definition directly, by
-splitting at the smallest prefix block until every block is a single
-letter.  The split is recorded here as a binary separating tree whose
-internal nodes are positive (left block of smaller values) or negative
-(left block of larger values).  The classical characterisation, that
+values of its block.  Such a split is positive (the prefix holds the
+low values: a direct sum) or negative (the high values: a skew sum).
+One function, _split, finds it; recognition, the separating tree, the
+block recursion and bijection.invert_phi all recurse on the two halves
+it returns, splitting at the smallest prefix block until every block
+is a single letter.  The tree records each split's sign at its
+internal node.  The classical characterisation, that
 the separable permutations are exactly those avoiding 3142 and 2413, is
 kept as a cross-check in the tests.  Two independent evaluation routes
 are kept side by side on purpose: a recursion over block splits, and a
@@ -48,31 +50,15 @@ def is_separable(pi: Permutation) -> bool:
     return _splits(pi.word, 1, pi.size)
 
 
-def _splits(word, lo: int, hi: int) -> bool:
-    if len(word) == 1:
-        return True
-    found = _scan_prefix_blocks(word, lo, hi)
-    if found is None:
-        return False
-    m, kind = found
-    if kind == "low-high":
-        return _splits(word[:m], lo, lo + m - 1) and _splits(word[m:], lo + m, hi)
-    return _splits(word[:m], hi - m + 1, hi) and _splits(word[m:], lo, hi - m)
-
-
-@dataclass(frozen=True)
-class BlockSplit:
-    """A prefix block boundary: the first m letters form the value
-    block {1..m} (low-high) or {n-m+1..n} (high-low)."""
-
-    m: int
-    kind: str  # "low-high" or "high-low"
-
-
-def _scan_prefix_blocks(word, lo: int, hi: int, largest: bool = False):
-    """Prefix length m < len(word) whose letters form a value block
-    anchored at lo or hi.  Smallest m by default."""
-    best = None
+def _split(word, lo: int, hi: int, largest: bool = False):
+    """Split a block holding the values lo..hi after a prefix whose
+    letters form a value block anchored at lo or hi; the smallest such
+    prefix by default, the largest with largest=True.  Returns None when
+    there is none, else (sign, (left, llo, lhi), (right, rlo, rhi)):
+    the sign is POSITIVE when the prefix holds the low values and
+    NEGATIVE when it holds the high ones, and each half comes with its
+    own value range."""
+    split = None
     mn = mx = word[0]
     for m in range(1, len(word)):
         a = word[m - 1]
@@ -80,32 +66,23 @@ def _scan_prefix_blocks(word, lo: int, hi: int, largest: bool = False):
             mn = a
         if a > mx:
             mx = a
-        if mx - mn + 1 == m:
-            if mn == lo:
-                found = (m, "low-high")
-            elif mx == hi:
-                found = (m, "high-low")
-            else:
-                continue
+        if mx - mn + 1 == m and (mn == lo or mx == hi):
+            split = m, mn == lo
             if not largest:
-                return found
-            best = found
-    return best
-
-
-def block_split(pi: Permutation):
-    """Canonical (smallest-m) prefix block split, or None when the word
-    has no prefix block at all.
-
-    >>> block_split(Permutation((4, 1, 3, 2)))
-    BlockSplit(m=1, kind='high-low')
-    >>> block_split(Permutation((2, 4, 1, 3))) is None
-    True
-    """
-    if pi.size == 1:
+                break
+    if split is None:
         return None
-    found = _scan_prefix_blocks(pi.word, 1, pi.size)
-    return BlockSplit(*found) if found else None
+    m, low = split
+    if low:
+        return POSITIVE, (word[:m], lo, lo + m - 1), (word[m:], lo + m, hi)
+    return NEGATIVE, (word[:m], hi - m + 1, hi), (word[m:], lo, hi - m)
+
+
+def _splits(word, lo: int, hi: int) -> bool:
+    if len(word) == 1:
+        return True
+    split = _split(word, lo, hi)
+    return split is not None and _splits(*split[1]) and _splits(*split[2])
 
 
 @dataclass(frozen=True)
@@ -116,14 +93,6 @@ class Leaf:
     def size(self) -> int:
         return 1
 
-    @property
-    def lo(self) -> int:
-        return self.value
-
-    @property
-    def hi(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Internal:
@@ -131,30 +100,9 @@ class Internal:
     right: "TreeNode"
     sign: str
     size: int
-    lo: int
-    hi: int
 
 
 TreeNode = Union[Leaf, Internal]
-
-
-def _make_internal(left: TreeNode, right: TreeNode) -> Internal:
-    if left.hi < right.lo:
-        sign = POSITIVE
-    elif left.lo > right.hi:
-        sign = NEGATIVE
-    else:
-        raise ValueError(
-            f"child subranges interleave: [{left.lo},{left.hi}] vs [{right.lo},{right.hi}]"
-        )
-    return Internal(
-        left,
-        right,
-        sign,
-        left.size + right.size,
-        min(left.lo, right.lo),
-        max(left.hi, right.hi),
-    )
 
 
 @dataclass(frozen=True)
@@ -188,17 +136,11 @@ def separating_tree(pi: Permutation, largest: bool = False) -> SeparatingTree:
     def build(word, lo: int, hi: int) -> TreeNode:
         if len(word) == 1:
             return Leaf(word[0])
-        found = _scan_prefix_blocks(word, lo, hi, largest)
-        if found is None:
+        split = _split(word, lo, hi, largest)
+        if split is None:
             raise NotSeparable(f"{pi} has a block with no prefix split")
-        m, kind = found
-        if kind == "low-high":
-            left = build(word[:m], lo, lo + m - 1)
-            right = build(word[m:], lo + m, hi)
-        else:
-            left = build(word[:m], hi - m + 1, hi)
-            right = build(word[m:], lo, hi - m)
-        return _make_internal(left, right)
+        sign, left, right = split
+        return Internal(build(*left), build(*right), sign, len(word))
 
     return SeparatingTree(build(pi.word, 1, pi.size))
 
@@ -257,30 +199,29 @@ def gf_above_closed(tree: SeparatingTree) -> IntPoly:
     return _closed_formula(tree, POSITIVE)
 
 
-def _below_rec(word) -> IntPoly:
+def _below_rec(word, lo: int, hi: int) -> IntPoly:
     if len(word) == 1:
         return ONE
-    lo, hi = min(word), max(word)
-    found = _scan_prefix_blocks(word, lo, hi)
-    if found is None:
+    split = _split(word, lo, hi)
+    if split is None:
         raise NotSeparable(f"block {word} has no prefix split")
-    m, kind = found
-    value = _below_rec(word[:m]) * _below_rec(word[m:])
-    if kind == "high-low":
-        value = q_binomial(len(word), m) * value
+    sign, left, right = split
+    value = _below_rec(*left) * _below_rec(*right)
+    if sign == NEGATIVE:
+        value = q_binomial(len(word), len(left[0])) * value
     return value
 
 
 def _recursion(pi: Permutation, word) -> IntPoly:
     try:
-        return _below_rec(word)
+        return _below_rec(word, 1, len(word))
     except NotSeparable as exc:
         raise NotSeparable(f"{pi} is not separable: {exc}") from None
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the lower interval by recursion on
-    block splits: a low-high split multiplies the pieces, a high-low
+    block splits: a positive split multiplies the pieces, a negative
     split adds a Gaussian binomial factor for interleaving the blocks.
     The recursion is its own separability test: it raises NotSeparable
     at the first block with no prefix split.

@@ -157,11 +157,6 @@ def default_workers() -> int:
     return cpus
 
 
-def _warm_caches(n: int) -> None:
-    # computed before any fork so workers inherit the memo tables
-    is_cyclotomic_product(q_factorial(n))
-
-
 def _format_row(rec) -> str:
     word, sep, coeffs, sym, uni, cyc, div = rec
     gf = ";".join(str(c) for c in coeffs)
@@ -353,7 +348,6 @@ def _iter_chunk_results(n: int, workers: int, start: int):
         for chunk in chunks:
             yield _scan_chunk(chunk)
         return
-    _warm_caches(n)
     ctx = get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(_scan_chunk, chunks)

@@ -5,6 +5,9 @@ smallest non-separable words break it, and those are the only failures
 at size 4."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_separable import separable_word
 
 from weakbruhat import bijection
 from weakbruhat.bijection import (
@@ -15,7 +18,14 @@ from weakbruhat.bijection import (
     phi,
 )
 from weakbruhat.errors import GuardExceeded, InternalInversionFailure
-from weakbruhat.perm import Permutation, all_permutations, compose, identity, longest_element
+from weakbruhat.perm import (
+    Permutation,
+    all_permutations,
+    compose,
+    identity,
+    leq_weak,
+    longest_element,
+)
 from weakbruhat.separable import is_separable
 from weakbruhat.weak_order import interval
 
@@ -51,7 +61,7 @@ def test_failure_set_is_exactly_non_separable(n):
         assert check_bijection(pi).is_bijection == is_separable(pi)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_invert_phi_round_trip(n):
     for pi in all_permutations(n):
         if not is_separable(pi):
@@ -65,9 +75,24 @@ def test_invert_phi_round_trip(n):
             assert v in above
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(9, 14).flatmap(
+        lambda n: st.tuples(separable_word(n), st.permutations(range(1, n + 1)))
+    )
+)
+def test_invert_phi_beyond_exhaustive(words):
+    pi, w = Permutation(words[0]), Permutation(words[1])
+    u, v = invert_phi(pi, w)
+    assert phi(u, v) == w
+    assert leq_weak(u, pi)
+    assert leq_weak(pi, v)
+
+
 def test_invert_phi_raises_on_a_wrong_construction(monkeypatch):
+    # _construct works on words; answer with pi's own word twice
     pi, w = Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4))
-    monkeypatch.setattr(bijection, "_construct", lambda pi, w: (pi, pi))
+    monkeypatch.setattr(bijection, "_construct", lambda p, w: (p, p))
     with pytest.raises(InternalInversionFailure, match=str(pi)):
         invert_phi(pi, w)
 

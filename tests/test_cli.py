@@ -187,6 +187,30 @@ def test_bijection_table(tmp_path, capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "4231"),
+        ("tree", "4231", "--dot"),
+        ("tree", "4231", "--json"),
+        ("interval", "4132"),
+        ("interval", "4132", "--gf"),
+        ("interval", "4132", "--side", "above", "--dot"),
+        ("interval", "4132", "--json"),
+        ("bijection", "312", "--table"),
+    ],
+)
+def test_out_file_equals_stdout(tmp_path, capsys, argv):
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out.txt"
+    code, rest, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert rest == ""
+    assert out.read_text() == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_parse_errors_exit_2(capsys):
     for bad in ("125", "0", "abc", "1,2,2"):
         code, out, err = run(capsys, "analyze", bad)

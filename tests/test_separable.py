@@ -10,9 +10,9 @@ from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
 from weakbruhat.qpoly import ONE, q_factorial
 from weakbruhat.separable import (
-    BlockSplit,
+    NEGATIVE,
+    POSITIVE,
     Leaf,
-    block_split,
     gf_above_closed,
     gf_above_from_complement,
     gf_above_recursive,
@@ -101,12 +101,17 @@ def test_separable_counts_schroder(n):
     assert len(separable_words(n)) == schroder(n - 1)
 
 
-def test_block_split_fixtures():
-    assert block_split(Permutation((4, 1, 3, 2))) == BlockSplit(m=1, kind="high-low")
-    assert block_split(Permutation((1, 2, 3, 4))) == BlockSplit(m=1, kind="low-high")
-    assert block_split(Permutation((2, 1, 4, 3))) == BlockSplit(m=2, kind="low-high")
-    assert block_split(Permutation((2, 4, 1, 3))) is None
-    assert block_split(Permutation((1,))) is None
+def test_separating_tree_root_split_fixtures():
+    for word, sign, left_size in (
+        ((4, 1, 3, 2), NEGATIVE, 1),
+        ((1, 2, 3, 4), POSITIVE, 1),
+        ((2, 1, 4, 3), POSITIVE, 2),
+    ):
+        root = separating_tree(Permutation(word)).root
+        assert (root.sign, root.left.size) == (sign, left_size), word
+    with pytest.raises(NotSeparable):
+        separating_tree(Permutation((2, 4, 1, 3)))
+    assert separating_tree(Permutation((1,))).root == Leaf(1)
 
 
 def test_separating_tree_structure():

@@ -56,11 +56,12 @@ def _aligned(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows)
 
 
+def _render(args, data: dict, rows: list[tuple[str, str]]) -> str:
+    return (json.dumps(data, indent=2) if args.json else _aligned(rows)) + "\n"
+
+
 def _emit(args, data: dict, rows: list[tuple[str, str]]) -> None:
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        print(_aligned(rows))
+    print(_render(args, data, rows), end="")
 
 
 def _output(args, text: str) -> None:
@@ -81,8 +82,8 @@ def _memory_note(objects: int) -> None:
     print(f"guard override active; memory estimate ~{max(1, round(mb))} MB", file=sys.stderr)
 
 
-def _gf_pair(pi: Permutation, force: bool) -> tuple[IntPoly, IntPoly]:
-    if is_separable(pi):
+def _gf_pair(pi: Permutation, sep: bool, force: bool) -> tuple[IntPoly, IntPoly]:
+    if sep:
         return gf_below_recursive(pi), gf_above_recursive(pi)
     below = le_gf(inversion_poset(pi), force=force)
     above = le_gf(inversion_poset(pi.complement()), force=force).reverse()
@@ -94,8 +95,8 @@ def _cmd_analyze(args) -> int:
     if args.force:
         # neither route enumerates S_n; le_gf walks at most 2^n order ideals
         _memory_note(2**pi.size)
-    below, above = _gf_pair(pi, args.force)
     sep = is_separable(pi)
+    below, above = _gf_pair(pi, sep, args.force)
     product = below * above == q_factorial(pi.size)
     data = {
         "word": str(pi),
@@ -214,11 +215,8 @@ def _cmd_bijection(args) -> int:
     if args.invert is not None:
         w = _parse_perm(args.invert)
         u, v = invert_phi(pi, w)
-        _emit(
-            args,
-            {"word": str(pi), "target": str(w), "u": str(u), "v": str(v)},
-            [("u", str(u)), ("v", str(v))],
-        )
+        data = {"word": str(pi), "target": str(w), "u": str(u), "v": str(v)}
+        _output(args, _render(args, data, [("u", str(u)), ("v", str(v))]))
         return 0
     if args.table:
         table = build_pair_table(pi, force=args.force)
@@ -240,7 +238,7 @@ def _cmd_bijection(args) -> int:
         ("is_bijection", _bool(report.is_bijection)),
         ("collisions", str(len(report.collisions))),
     ]
-    _emit(args, data, rows)
+    _output(args, _render(args, data, rows))
     return 0
 
 
@@ -296,7 +294,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="stream per-permutation records to a CSV")
     p.add_argument("--resume", action="store_true", help="continue from a checkpoint")
-    p.add_argument("--workers", type=int, default=None, help="process count (default: cpu count capped by BRUHAT_THREADS)")
+    p.add_argument("--workers", type=int, default=None, help="process count (default: cpu count)")
     p.set_defaults(handler=_cmd_survey)
 
     p = sub.add_parser("bijection", help="pairing of lower and upper interval elements", parents=[common])
@@ -305,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--check", action="store_true", help="test bijectivity (default)")
     group.add_argument("--invert", metavar="W", help="recover the pair mapping to W")
     group.add_argument("--table", action="store_true", help="emit the full pair table as CSV")
-    p.add_argument("--out", help="write the table to a file instead of stdout")
+    p.add_argument("--out", help="write the report, the pair or the table to a file instead of stdout")
     p.set_defaults(handler=_cmd_bijection)
 
     return top

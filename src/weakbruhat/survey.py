@@ -142,21 +142,6 @@ def _check_scan_args(n: int, force: bool) -> None:
         )
 
 
-def default_workers() -> int:
-    """Worker count: BRUHAT_THREADS caps the machine's cpu count."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("BRUHAT_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"BRUHAT_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"BRUHAT_THREADS must be positive, got {cap}")
-        return min(cpus, cap)
-    return cpus
-
-
 def _format_row(rec) -> str:
     word, sep, coeffs, sym, uni, cyc, div = rec
     gf = ";".join(str(c) for c in coeffs)
@@ -231,7 +216,7 @@ def scan(
     total = factorial(n)
     counts = _Counts()
     if workers is None:
-        workers = default_workers()
+        workers = os.cpu_count() or 1
     elif workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
 

@@ -43,6 +43,8 @@ from .survey import schroder
 from .weak_order import all_saturated_chains, interval, rank_gf, reduced_words
 
 _SHOW = 8
+# largest n at which suites also run interval BFS and try every inverse target
+_BRUTE_N = 5
 
 
 @dataclass(frozen=True)
@@ -62,144 +64,99 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-class _Failures:
-    """Collects counterexample words and renders a capped summary."""
+class _Tally:
+    """One verified property: its label, the number of inputs it was
+    evaluated on, and its counterexamples.  A witness is given as parts
+    that are formatted, joined by sep, only when the check fails.  The
+    pass detail fills {count} (inputs checked), {n} (the suite size) and
+    {brute} (the size the per-word routes reached) into the template."""
 
-    def __init__(self):
-        self.words: list[str] = []
+    def __init__(self, label: str, detail: str, sep: str = ":"):
+        self.label = label
+        self.detail = detail
+        self.sep = sep
+        self.count = 0
+        self.witnesses: list[str] = []
 
-    def add(self, word) -> None:
-        self.words.append(str(word))
+    def check(self, ok: bool, *witness) -> bool:
+        self.count += 1
+        if not ok:
+            self.witnesses.append(self.sep.join(map(str, witness)))
+        return ok
 
-    def __bool__(self) -> bool:
-        return bool(self.words)
-
-    def detail(self) -> str:
-        if not self.words:
-            return ""
-        shown = " ".join(self.words[:_SHOW])
-        extra = len(self.words) - _SHOW
+    def result(self, n_max: int) -> Check:
+        if not self.witnesses:
+            detail = self.detail.format(count=self.count, n=n_max, brute=min(n_max, _BRUTE_N))
+            return Check(self.label, True, detail)
+        shown = " ".join(self.witnesses[:_SHOW])
+        extra = len(self.witnesses) - _SHOW
         tail = f" and {extra} more" if extra > 0 else ""
-        return f"counterexamples: {shown}{tail}"
+        return Check(self.label, False, f"counterexamples: {shown}{tail}")
 
 
-def _check(label: str, failures: _Failures, ok_detail: str) -> Check:
-    if failures:
-        return Check(label, False, failures.detail())
-    return Check(label, True, ok_detail)
+# pass-detail templates shared by several tallies
+_WORDS = "{count} permutations checked, n <= {n}"
+_SEPARABLE = "{count} separable permutations checked, n <= {n}"
+_BRUTE = "{count} separable permutations checked, n <= {brute}"
 
 
-def _separable_words(n: int):
-    for pi in all_permutations(n):
-        if is_separable(pi):
-            yield pi
+def _separable_words(n: int) -> list:
+    return [pi for pi in all_permutations(n) if is_separable(pi)]
 
 
-def suite_main_theorem(n_max: int = 7, force: bool = False) -> SuiteResult:
+def suite_main_theorem(n_max: int, force: bool = False) -> SuiteResult:
     """Product of the two interval generating functions of a separable
     permutation equals the full q-factorial."""
-    product_fails = _Failures()
-    count_fails = _Failures()
-    brute_fails = _Failures()
-    checked = 0
-    brute_checked = 0
+    product, schroeder, brute = tallies = (
+        _Tally("formula product F(below)*F(above) equals the q-factorial", _SEPARABLE),
+        _Tally("separable counts match the Schroeder numbers", "n <= {n}"),
+        _Tally("brute-force interval enumeration agrees", _BRUTE),
+    )
     for n in range(1, n_max + 1):
         fact = q_factorial(n)
         w0 = longest_element(n)
-        seen = 0
-        for pi in _separable_words(n):
-            seen += 1
-            checked += 1
-            if gf_below_recursive(pi) * gf_above_recursive(pi) != fact:
-                product_fails.add(pi)
-            if n <= 5:
-                brute_checked += 1
+        words = _separable_words(n)
+        for pi in words:
+            product.check(gf_below_recursive(pi) * gf_above_recursive(pi) == fact, pi)
+            if n <= _BRUTE_N:
                 below = rank_gf(interval(identity(n), pi, force=force))
                 above = rank_gf(interval(pi, w0, force=force))
-                if below * above != fact:
-                    brute_fails.add(pi)
-        if seen != schroder(n - 1):
-            count_fails.add(f"n={n}:{seen}!={schroder(n - 1)}")
-    return SuiteResult(
-        "main-theorem",
-        (
-            _check(
-                "formula product F(below)*F(above) equals the q-factorial",
-                product_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "separable counts match the Schroeder numbers",
-                count_fails,
-                f"n <= {n_max}",
-            ),
-            _check(
-                "brute-force interval enumeration agrees",
-                brute_fails,
-                f"{brute_checked} separable permutations checked, n <= {min(n_max, 5)}",
-            ),
-        ),
-    )
+                brute.check(below * above == fact, pi)
+        expected = schroder(n - 1)
+        schroeder.check(len(words) == expected, f"n={n}:{len(words)}!={expected}")
+    return SuiteResult("main-theorem", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_ff(n_max: int = 6, force: bool = False) -> SuiteResult:
+def suite_ff(n_max: int, force: bool = False) -> SuiteResult:
     """Linear extensions of the inversion poset reproduce the lower
     interval's rank generating function, separable or not."""
-    fails = _Failures()
-    checked = 0
+    agree = _Tally("linear-extension count by inversions equals the interval rank data", _WORDS)
     for n in range(1, n_max + 1):
         e = identity(n)
         for pi in all_permutations(n):
-            checked += 1
             via_poset = le_gf(inversion_poset(pi), force=force)
             via_interval = rank_gf(interval(e, pi, force=force))
-            if via_poset != via_interval:
-                fails.add(pi)
-    return SuiteResult(
-        "ff",
-        (
-            _check(
-                "linear-extension count by inversions equals the interval rank data",
-                fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-        ),
-    )
+            agree.check(via_poset == via_interval, pi)
+    return SuiteResult("ff", (agree.result(n_max),))
 
 
-def suite_duality(n_max: int = 5, force: bool = False) -> SuiteResult:
+def suite_duality(n_max: int, force: bool = False) -> SuiteResult:
     """Complementation turns upper intervals into lower ones: the rank
     data of [pi, w0] read backwards is the rank data of [id, pi^c]."""
-    len_fails = _Failures()
-    gf_fails = _Failures()
-    checked = 0
+    corank, reverse = tallies = (
+        _Tally("complement length is the corank", _WORDS),
+        _Tally("upper interval reversed equals the complement's lower interval", _WORDS),
+    )
     for n in range(1, n_max + 1):
         e = identity(n)
         w0 = longest_element(n)
         top_rank = n * (n - 1) // 2
         for pi in all_permutations(n):
-            checked += 1
-            if pi.complement().length != top_rank - pi.length:
-                len_fails.add(pi)
+            corank.check(pi.complement().length == top_rank - pi.length, pi)
             above = rank_gf(interval(pi, w0, force=force))
             below_c = rank_gf(interval(e, pi.complement(), force=force))
-            if above.reverse() != below_c:
-                gf_fails.add(pi)
-    return SuiteResult(
-        "duality",
-        (
-            _check(
-                "complement length is the corank",
-                len_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "upper interval reversed equals the complement's lower interval",
-                gf_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-        ),
-    )
+            reverse.check(above.reverse() == below_c, pi)
+    return SuiteResult("duality", tuple(t.result(n_max) for t in tallies))
 
 
 def _chain_word(chain) -> tuple[int, ...]:
@@ -210,39 +167,22 @@ def _chain_word(chain) -> tuple[int, ...]:
     return tuple(word)
 
 
-def suite_chains_words(n_max: int = 5, force: bool = False) -> SuiteResult:
+def suite_chains_words(n_max: int, force: bool = False) -> SuiteResult:
     """Saturated chains from the identity, read edge by edge, are
     exactly the reduced words."""
-    count_fails = _Failures()
-    replay_fails = _Failures()
-    checked = 0
+    counts, replay = tallies = (
+        _Tally("chain counts equal reduced word counts", _WORDS),
+        _Tally("edge labels of saturated chains replay the reduced words", _WORDS),
+    )
     for n in range(1, n_max + 1):
         e = identity(n)
         for pi in all_permutations(n):
-            checked += 1
             words = reduced_words(pi)
             chains = all_saturated_chains(e, pi)
-            if len(chains) != len(words):
-                count_fails.add(pi)
+            if not counts.check(len(chains) == len(words), pi):
                 continue
-            replayed = {_chain_word(c) for c in chains}
-            if replayed != words:
-                replay_fails.add(pi)
-    return SuiteResult(
-        "chains-words",
-        (
-            _check(
-                "chain counts equal reduced word counts",
-                count_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "edge labels of saturated chains replay the reduced words",
-                replay_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-        ),
-    )
+            replay.check({_chain_word(c) for c in chains} == words, pi)
+    return SuiteResult("chains-words", tuple(t.result(n_max) for t in tallies))
 
 
 def _all_posets(k: int) -> list[Poset]:
@@ -266,297 +206,166 @@ def _all_posets(k: int) -> list[Poset]:
     return out
 
 
-def suite_op_lemma(n_max: int = 3, force: bool = False) -> SuiteResult:
+# partial orders on k labelled points, k = 1, 2, ... (OEIS A001035)
+_POSET_COUNTS = (1, 3, 19, 219)
+
+
+def suite_op_lemma(n_max: int, force: bool = False) -> SuiteResult:
     """Product rules for linear-extension generating functions under
     ordinal sum and disjoint union of posets."""
-    sum_fails = _Failures()
-    union_fails = _Failures()
-    counted = {k: len(_all_posets(k)) for k in range(1, n_max + 1)}
-    expected = {1: 1, 2: 3, 3: 19}
-    enum_fails = _Failures()
-    for k, c in counted.items():
-        if k in expected and c != expected[k]:
-            enum_fails.add(f"size {k}: {c} != {expected[k]}")
-    pairs = 0
+    pairs = "{count} poset pairs checked"
+    enum, ordinal, union = tallies = (
+        _Tally("poset enumeration finds the known counts", "sizes 1..{count}"),
+        _Tally("ordinal sum multiplies the generating functions", pairs, sep="+"),
+        _Tally("disjoint union multiplies and attaches a q-binomial", pairs, sep="|"),
+    )
+    posets = {k: _all_posets(k) for k in range(1, n_max + 1)}
+    for (k, found), known in zip(posets.items(), _POSET_COUNTS):
+        enum.check(len(found) == known, f"size {k}: {len(found)} != {known}")
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
-            for p in _all_posets(a):
+            for p in posets[a]:
                 gp = le_gf(p, force=force)
-                for q in _all_posets(b):
+                for q in posets[b]:
                     shifted = q.shifted(a)
                     gq = le_gf(shifted, force=force)
-                    pairs += 1
-                    if le_gf(ordinal_sum(p, shifted), force=force) != gp * gq:
-                        sum_fails.add(f"{p!r}+{q!r}")
+                    ordinal.check(le_gf(ordinal_sum(p, shifted), force=force) == gp * gq, p, q)
                     expected_union = gp * gq * q_binomial(a + b, a)
-                    if le_gf(disjoint_union(p, shifted), force=force) != expected_union:
-                        union_fails.add(f"{p!r}|{q!r}")
-    return SuiteResult(
-        "op-lemma",
-        (
-            _check(
-                "poset enumeration finds the known counts",
-                enum_fails,
-                f"sizes 1..{n_max}",
-            ),
-            _check(
-                "ordinal sum multiplies the generating functions",
-                sum_fails,
-                f"{pairs} poset pairs checked",
-            ),
-            _check(
-                "disjoint union multiplies and attaches a q-binomial",
-                union_fails,
-                f"{pairs} poset pairs checked",
-            ),
-        ),
-    )
+                    union.check(le_gf(disjoint_union(p, shifted), force=force) == expected_union, p, q)
+    return SuiteResult("op-lemma", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_des(n_max: int = 5, force: bool = False) -> SuiteResult:
+def suite_des(n_max: int, force: bool = False) -> SuiteResult:
     """Descents of linear extensions determine the order polynomial:
     sum_m Omega(m) x^m = (sum_L x^(des(L)+1)) / (1-x)^(size+1)."""
-    identity_fails = _Failures()
-    route_fails = _Failures()
-    checked = 0
+    posets = "{count} inversion posets checked, n <= {n}"
+    expansion, routes = tallies = (
+        _Tally("descent generating function expands to the order polynomial", posets),
+        _Tally("both order-polynomial routes agree", posets),
+    )
     for n in range(1, n_max + 1):
         for pi in all_permutations(n):
-            checked += 1
             p = inversion_poset(pi)
             m_max = n + 2
             omega = order_polynomial_values(p, m_max, force=force)
             w = descent_gf(p, force=force)
-            for m in range(1, m_max + 1):
-                # coefficient of x^m in W(x) / (1-x)^(n+1)
-                total = sum(
-                    w.coeffs[k] * comb(n + m - k, n)
-                    for k in range(1, min(m, w.degree) + 1)
-                )
-                if total != omega[m - 1]:
-                    identity_fails.add(pi)
-                    break
-            if _op_values_bruteforce(p, m_max) != omega:
-                route_fails.add(pi)
-    return SuiteResult(
-        "des",
-        (
-            _check(
-                "descent generating function expands to the order polynomial",
-                identity_fails,
-                f"{checked} inversion posets checked, n <= {n_max}",
-            ),
-            _check(
-                "both order-polynomial routes agree",
-                route_fails,
-                f"{checked} inversion posets checked, n <= {n_max}",
-            ),
-        ),
-    )
+            # coefficient of x^m in W(x) / (1-x)^(n+1), for each m
+            expanded = all(
+                sum(w.coeffs[k] * comb(n + m - k, n) for k in range(1, min(m, w.degree) + 1))
+                == omega[m - 1]
+                for m in range(1, m_max + 1)
+            )
+            expansion.check(expanded, pi)
+            routes.check(_op_values_bruteforce(p, m_max) == omega, pi)
+    return SuiteResult("des", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_formula(n_max: int = 7, force: bool = False) -> SuiteResult:
+def suite_formula(n_max: int, force: bool = False) -> SuiteResult:
     """Closed-form tree formulas, block recursions, the q-factorial
     quotient, and brute-force enumeration all compute the same
     generating functions on separable permutations."""
-    closed_fails = _Failures()
-    largest_fails = _Failures()
-    quotient_fails = _Failures()
-    brute_fails = _Failures()
-    checked = 0
-    brute_checked = 0
+    closed, largest, quotient, brute = tallies = (
+        _Tally("closed tree formulas match the block recursions", _SEPARABLE),
+        _Tally("largest-split trees give the same closed formulas", _SEPARABLE),
+        _Tally("q-factorial quotient reproduces the upper generating function", _SEPARABLE),
+        _Tally("brute-force interval enumeration agrees", _BRUTE),
+    )
     for n in range(1, n_max + 1):
         e = identity(n)
         w0 = longest_element(n)
         for pi in _separable_words(n):
-            checked += 1
             below = gf_below_recursive(pi)
             above = gf_above_recursive(pi)
             tree = separating_tree(pi)
-            if gf_below_closed(tree) != below or gf_above_closed(tree) != above:
-                closed_fails.add(pi)
+            closed.check(gf_below_closed(tree) == below and gf_above_closed(tree) == above, pi)
             big = separating_tree(pi, largest=True)
-            if gf_below_closed(big) != below or gf_above_closed(big) != above:
-                largest_fails.add(pi)
-            if gf_above_from_complement(pi) != above:
-                quotient_fails.add(pi)
-            if n <= 5:
-                brute_checked += 1
-                if rank_gf(interval(e, pi, force=force)) != below:
-                    brute_fails.add(pi)
-                elif rank_gf(interval(pi, w0, force=force)) != above:
-                    brute_fails.add(pi)
-    return SuiteResult(
-        "formula",
-        (
-            _check(
-                "closed tree formulas match the block recursions",
-                closed_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "largest-split trees give the same closed formulas",
-                largest_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "q-factorial quotient reproduces the upper generating function",
-                quotient_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "brute-force interval enumeration agrees",
-                brute_fails,
-                f"{brute_checked} separable permutations checked, n <= {min(n_max, 5)}",
-            ),
-        ),
-    )
+            largest.check(gf_below_closed(big) == below and gf_above_closed(big) == above, pi)
+            quotient.check(gf_above_from_complement(pi) == above, pi)
+            if n <= _BRUTE_N:
+                brute.check(
+                    rank_gf(interval(e, pi, force=force)) == below
+                    and rank_gf(interval(pi, w0, force=force)) == above,
+                    pi,
+                )
+    return SuiteResult("formula", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_explicit_231(n_max: int = 8, force: bool = False) -> SuiteResult:
+def suite_explicit_231(n_max: int, force: bool = False) -> SuiteResult:
     """The per-letter distance product for 231-avoiding permutations
     against the block recursion, linear extensions, and brute force."""
-    catalan_fails = _Failures()
-    rec_fails = _Failures()
-    le_fails = _Failures()
-    brute_fails = _Failures()
-    checked = 0
-    brute_checked = 0
-    for n in range(1, n_max + 1):
-        e = identity(n)
-        seen = 0
-        for pi in all_permutations(n):
-            if pi.contains_pattern((2, 3, 1)):
-                continue
-            seen += 1
-            checked += 1
-            product = gf_below_231(pi)
-            if product != gf_below_recursive(pi):
-                rec_fails.add(pi)
-            if product != le_gf(inversion_poset(pi), force=force):
-                le_fails.add(pi)
-            if n <= 5:
-                brute_checked += 1
-                if product != rank_gf(interval(e, pi, force=force)):
-                    brute_fails.add(pi)
-        if seen != comb(2 * n, n) // (n + 1):
-            catalan_fails.add(f"n={n}:{seen}")
-    return SuiteResult(
-        "explicit-231",
-        (
-            _check(
-                "231-avoiding counts match the Catalan numbers",
-                catalan_fails,
-                f"n <= {n_max}",
-            ),
-            _check(
-                "distance product matches the block recursion",
-                rec_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "distance product matches the linear-extension route",
-                le_fails,
-                f"{checked} permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "distance product matches brute-force enumeration",
-                brute_fails,
-                f"{brute_checked} permutations checked, n <= {min(n_max, 5)}",
-            ),
+    catalan, recursion, extensions, brute = tallies = (
+        _Tally("231-avoiding counts match the Catalan numbers", "n <= {n}"),
+        _Tally("distance product matches the block recursion", _WORDS),
+        _Tally("distance product matches the linear-extension route", _WORDS),
+        _Tally(
+            "distance product matches brute-force enumeration",
+            "{count} permutations checked, n <= {brute}",
         ),
     )
+    for n in range(1, n_max + 1):
+        e = identity(n)
+        avoiders = [pi for pi in all_permutations(n) if not pi.contains_pattern((2, 3, 1))]
+        for pi in avoiders:
+            product = gf_below_231(pi)
+            recursion.check(product == gf_below_recursive(pi), pi)
+            extensions.check(product == le_gf(inversion_poset(pi), force=force), pi)
+            if n <= _BRUTE_N:
+                brute.check(product == rank_gf(interval(e, pi, force=force)), pi)
+        catalan.check(len(avoiders) == comb(2 * n, n) // (n + 1), f"n={n}:{len(avoiders)}")
+    return SuiteResult("explicit-231", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_bijection(n_max: int = 6, force: bool = False) -> SuiteResult:
+def suite_bijection(n_max: int, force: bool = False) -> SuiteResult:
     """Pairing each element below pi with each element above pi via
     u^(-1)v covers the whole symmetric group exactly once, and the
     constructive inverse round-trips."""
-    sep_fails = _Failures()
-    exact4_fails = _Failures()
-    invert_fails = _Failures()
-    checked = 0
-    inverted = 0
+    pairing, exact4, inverse = tallies = (
+        _Tally("pairing is a bijection for every separable word", _SEPARABLE),
+        _Tally("at n=4 the bijection fails exactly off the separable words", "{count} permutations checked"),
+        _Tally("constructive inverse round-trips", "{count} (word, target) pairs checked, n <= {brute}"),
+    )
     for n in range(1, n_max + 1):
         perms = list(all_permutations(n))
         for pi in perms:
             sep = is_separable(pi)
             if sep:
-                checked += 1
-                if not check_bijection(pi, force=force).is_bijection:
-                    sep_fails.add(pi)
-            if n == 4 and check_bijection(pi).is_bijection == (not sep):
-                # bijection must hold exactly on the separable words
-                exact4_fails.add(pi)
-            if sep and n <= 5:
+                pairing.check(check_bijection(pi, force=force).is_bijection, pi)
+            if n == 4:
+                # the bijection must hold exactly on the separable words
+                exact4.check(check_bijection(pi).is_bijection == sep, pi)
+            if sep and n <= _BRUTE_N:
                 for w in perms:
-                    inverted += 1
                     try:
                         u, v = invert_phi(pi, w)
                     except InternalInversionFailure:
-                        invert_fails.add(f"{pi}:{w}")
+                        inverse.check(False, pi, w)
                         continue
-                    if phi(u, v) != w:
-                        invert_fails.add(f"{pi}:{w}")
-    return SuiteResult(
-        "bijection",
-        (
-            _check(
-                "pairing is a bijection for every separable word",
-                sep_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "at n=4 the bijection fails exactly off the separable words",
-                exact4_fails,
-                "24 permutations checked",
-            ),
-            _check(
-                "constructive inverse round-trips",
-                invert_fails,
-                f"{inverted} (word, target) pairs checked, n <= {min(n_max, 5)}",
-            ),
-        ),
-    )
+                    inverse.check(phi(u, v) == w, pi, w)
+    return SuiteResult("bijection", tuple(t.result(n_max) for t in tallies))
 
 
-def suite_sym_unim(n_max: int = 7, force: bool = False) -> SuiteResult:
+def suite_sym_unim(n_max: int, force: bool = False) -> SuiteResult:
     """Separable generating functions are symmetric and unimodal, and
     every rank-symmetric generating function seen in an exhaustive scan
     factors into cyclotomic polynomials."""
-    shape_fails = _Failures()
-    cyclotomic_fails = _Failures()
-    checked = 0
-    scanned = 0
+    shape, cyclotomic = tallies = (
+        _Tally("separable generating functions are symmetric and unimodal", _SEPARABLE),
+        _Tally("rank-symmetric implies a cyclotomic product", "{count} permutations scanned, n <= {n}"),
+    )
     for n in range(1, n_max + 1):
         for pi in all_permutations(n):
-            scanned += 1
             if is_separable(pi):
-                checked += 1
                 below = gf_below_recursive(pi)
                 above = gf_above_recursive(pi)
-                if not (below.is_symmetric() and below.is_unimodal()):
-                    shape_fails.add(pi)
-                elif not (above.is_symmetric() and above.is_unimodal()):
-                    shape_fails.add(pi)
+                shape.check(
+                    below.is_symmetric() and below.is_unimodal()
+                    and above.is_symmetric() and above.is_unimodal(),
+                    pi,
+                )
             else:
                 below = le_gf(inversion_poset(pi), force=force)
-            if below.is_symmetric() and not is_cyclotomic_product(below):
-                cyclotomic_fails.add(pi)
-    return SuiteResult(
-        "sym-unim",
-        (
-            _check(
-                "separable generating functions are symmetric and unimodal",
-                shape_fails,
-                f"{checked} separable permutations checked, n <= {n_max}",
-            ),
-            _check(
-                "rank-symmetric implies a cyclotomic product",
-                cyclotomic_fails,
-                f"{scanned} permutations scanned, n <= {n_max}",
-            ),
-        ),
-    )
+            cyclotomic.check(not below.is_symmetric() or is_cyclotomic_product(below), pi)
+    return SuiteResult("sym-unim", tuple(t.result(n_max) for t in tallies))
 
 
 SUITES = {

@@ -198,6 +198,10 @@ def test_bijection_table(tmp_path, capsys):
         ("interval", "4132", "--side", "above", "--dot"),
         ("interval", "4132", "--json"),
         ("bijection", "312", "--table"),
+        ("bijection", "4132"),
+        ("bijection", "4132", "--json"),
+        ("bijection", "4132", "--invert", "2314"),
+        ("bijection", "4132", "--invert", "2314", "--json"),
     ],
 )
 def test_out_file_equals_stdout(tmp_path, capsys, argv):

@@ -12,7 +12,6 @@ from weakbruhat.errors import CheckpointError, GuardExceeded, UsageError
 from weakbruhat.perm import Permutation, identity
 from weakbruhat.survey import (
     SurveyRecord,
-    default_workers,
     iter_records,
     scan,
     schroder,
@@ -218,22 +217,6 @@ def test_scan_guards():
         scan(10, force=True)
     with pytest.raises(UsageError):
         scan(0)
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("BRUHAT_THREADS", raising=False)
-    base = default_workers()
-    assert base >= 1
-    monkeypatch.setenv("BRUHAT_THREADS", "1")
-    assert default_workers() == 1
-    monkeypatch.setenv("BRUHAT_THREADS", str(base + 5))
-    assert default_workers() == base
-    monkeypatch.setenv("BRUHAT_THREADS", "zero")
-    with pytest.raises(ValueError, match="integer"):
-        default_workers()
-    monkeypatch.setenv("BRUHAT_THREADS", "0")
-    with pytest.raises(ValueError, match="positive"):
-        default_workers()
 
 
 def test_predicate_cache_keeps_sizes_apart():

@@ -41,7 +41,6 @@ from .qpoly import (
     q_int,
 )
 from .separable import (
-    SeparatingTree,
     gf_above_closed,
     gf_above_from_complement,
     gf_above_recursive,
@@ -74,7 +73,6 @@ __all__ = [
     "NotSeparable",
     "Permutation",
     "Poset",
-    "SeparatingTree",
     "SurveyRecord",
     "SurveyReport",
     "adjacent_transposition",

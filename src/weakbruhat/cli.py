@@ -17,16 +17,7 @@ from dataclasses import asdict
 from math import factorial
 
 from .bijection import build_pair_table, check_bijection, invert_phi
-from .errors import (
-    CheckpointError,
-    GuardExceeded,
-    IncomparableEndpoints,
-    InternalInversionFailure,
-    NonzeroRemainder,
-    Not231Avoiding,
-    NotSeparable,
-    UsageError,
-)
+from .errors import InternalInversionFailure, NonzeroRemainder, UsageError
 from .perm import Permutation, identity, longest_element, parse_permutation
 from .poset import inversion_poset, le_gf
 from .qpoly import IntPoly, is_cyclotomic_product, q_factorial
@@ -138,13 +129,13 @@ def _tree_text(node, depth: int = 0) -> list[str]:
 
 def _cmd_tree(args) -> int:
     pi = _parse_perm(args.perm)
-    tree = separating_tree(pi)
+    root = separating_tree(pi)
     if args.dot:
-        text = tree_dot(tree)
+        text = tree_dot(root)
     elif args.json:
-        text = json.dumps(tree_json(tree), indent=2)
+        text = json.dumps(tree_json(root), indent=2)
     else:
-        text = "\n".join(_tree_text(tree.root))
+        text = "\n".join(_tree_text(root))
     _output(args, text + "\n")
     return 0
 
@@ -300,7 +291,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bijection", help="pairing of lower and upper interval elements", parents=[common])
     p.add_argument("perm")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--check", action="store_true", help="test bijectivity (default)")
     group.add_argument("--invert", metavar="W", help="recover the pair mapping to W")
     group.add_argument("--table", action="store_true", help="emit the full pair table as CSV")
     p.add_argument("--out", help="write the report, the pair or the table to a file instead of stdout")
@@ -318,16 +308,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotSeparable,
-        Not231Avoiding,
-        GuardExceeded,
-        IncomparableEndpoints,
-        NonzeroRemainder,
-        InternalInversionFailure,
-        CheckpointError,
-        ValueError,
-    ) as exc:
+    except (ValueError, NonzeroRemainder, InternalInversionFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,9 +68,6 @@ class Permutation:
             )
         return self._length
 
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.word == other.word
 

@@ -1,4 +1,4 @@
-"""Finite posets on small integer ground sets.
+"""Finite posets on 1..n.
 
 The poset of inversions of a permutation lives here, together with the
 two combinators (disjoint union, ordinal sum) and the linear extension
@@ -7,7 +7,8 @@ of the extension word, the generating function by descents, and order
 polynomial values.
 
 The strict order relation is stored transitively closed, one bitmask
-per element, so comparisons are O(1) and the extension walks are cheap.
+per element (bit b - 1 of mask a - 1 set when a < b), so comparisons
+are O(1) and the extension walks are cheap.
 """
 
 from __future__ import annotations
@@ -25,36 +26,32 @@ OP_SIZE_GUARD = 8
 
 
 class Poset:
-    """Strict partial order on a finite set of positive integers.
+    """Strict partial order on 1..n.
 
-    >>> p = Poset((1, 2, 3), [(1, 2), (2, 3)])
+    >>> p = Poset(3, [(1, 2), (2, 3)])
     >>> p.less(1, 3)
     True
     >>> p.covers()
     ((1, 2), (2, 3))
     """
 
-    __slots__ = ("ground", "_index", "_gt")
+    __slots__ = ("_gt",)
 
-    def __init__(self, ground: Iterable[int], relations: Iterable[tuple[int, int]] = ()):
-        g = tuple(sorted(ground))
-        if not g:
-            raise ValueError("empty ground set")
-        if len(set(g)) != len(g) or g[0] < 1:
-            raise ValueError(f"ground must be distinct positive integers: {g}")
-        index = {a: i for i, a in enumerate(g)}
-        gt = [0] * len(g)
+    def __init__(self, n: int, relations: Iterable[tuple[int, int]] = ()):
+        if n < 1:
+            raise ValueError(f"poset size must be positive, got {n}")
+        gt = [0] * n
         for a, b in relations:
-            if a not in index or b not in index:
-                raise ValueError(f"relation ({a}, {b}) leaves the ground set")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"relation ({a}, {b}) leaves 1..{n}")
             if a == b:
                 raise ValueError(f"reflexive relation ({a}, {b})")
-            gt[index[a]] |= 1 << index[b]
+            gt[a - 1] |= 1 << (b - 1)
         # transitive closure by fixpoint
         changed = True
         while changed:
             changed = False
-            for i in range(len(g)):
+            for i in range(n):
                 acc = gt[i]
                 t = acc
                 while t:
@@ -64,29 +61,27 @@ class Poset:
                 if acc != gt[i]:
                     gt[i] = acc
                     changed = True
-        for i in range(len(g)):
+        for i in range(n):
             if gt[i] >> i & 1:
                 raise ValueError("relations contain a cycle")
-        self.ground = g
-        self._index = index
         self._gt = tuple(gt)
 
     @classmethod
-    def _from_closed_masks(cls, ground: tuple[int, ...], gt: tuple[int, ...]) -> "Poset":
+    def _from_closed_masks(cls, gt: tuple[int, ...]) -> "Poset":
         """Trusted constructor: gt must already be an irreflexive,
-        transitively closed relation on ground, one mask per element."""
+        transitively closed relation on 1..len(gt), one mask per element."""
         p = cls.__new__(cls)
-        p.ground = ground
-        p._index = {a: i for i, a in enumerate(ground)}
         p._gt = gt
         return p
 
     @property
     def size(self) -> int:
-        return len(self.ground)
+        return len(self._gt)
 
     def less(self, a: int, b: int) -> bool:
-        return self._gt[self._index[a]] >> self._index[b] & 1 == 1
+        if not (1 <= a <= self.size and 1 <= b <= self.size):
+            raise ValueError(f"({a}, {b}) leaves 1..{self.size}")
+        return self._gt[a - 1] >> (b - 1) & 1 == 1
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse diagram edges (a, b) with a covered by b."""
@@ -103,21 +98,17 @@ class Poset:
             while t:
                 b = t & -t
                 t ^= b
-                out.append((self.ground[i], self.ground[b.bit_length() - 1]))
+                out.append((i + 1, b.bit_length()))
         return tuple(sorted(out))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.ground == other.ground
-            and self._gt == other._gt
-        )
+        return isinstance(other, Poset) and self._gt == other._gt
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._gt))
+        return hash(self._gt)
 
     def __repr__(self) -> str:
-        return f"Poset({self.ground!r}, {list(self.covers())!r})"
+        return f"Poset({self.size}, {list(self.covers())!r})"
 
     def relations(self) -> tuple[tuple[int, int], ...]:
         """All strict relations (a, b), transitively closed."""
@@ -127,15 +118,8 @@ class Poset:
             while t:
                 b = t & -t
                 t ^= b
-                out.append((self.ground[i], self.ground[b.bit_length() - 1]))
+                out.append((i + 1, b.bit_length()))
         return tuple(sorted(out))
-
-    def shifted(self, offset: int) -> "Poset":
-        """Relabeling helper: every element moved up by offset."""
-        return Poset(
-            (a + offset for a in self.ground),
-            [(a + offset, b + offset) for a, b in self.relations()],
-        )
 
     def _pred_masks(self) -> list[int]:
         n = self.size
@@ -167,23 +151,20 @@ def inversion_poset(pi: Permutation) -> Poset:
     for a in reversed(pi.word):
         gt[a - 1] = seen >> a << a
         seen |= 1 << (a - 1)
-    return Poset._from_closed_masks(tuple(range(1, pi.size + 1)), tuple(gt))
+    return Poset._from_closed_masks(tuple(gt))
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
-    """Side-by-side union; ground sets must not overlap."""
-    if set(p.ground) & set(q.ground):
-        raise ValueError("ground sets overlap")
-    return Poset(p.ground + q.ground, list(p.relations()) + list(q.relations()))
+    """Side-by-side union, q's elements numbered after p's."""
+    return Poset._from_closed_masks(p._gt + tuple(m << p.size for m in q._gt))
 
 
 def ordinal_sum(p: Poset, q: Poset) -> Poset:
-    """Union plus every element of p below every element of q."""
-    if set(p.ground) & set(q.ground):
-        raise ValueError("ground sets overlap")
-    rels = list(p.relations()) + list(q.relations())
-    rels += [(a, b) for a in p.ground for b in q.ground]
-    return Poset(p.ground + q.ground, rels)
+    """Disjoint union plus every element of p below every element of q."""
+    above = ((1 << q.size) - 1) << p.size
+    return Poset._from_closed_masks(
+        tuple(m | above for m in p._gt) + tuple(m << p.size for m in q._gt)
+    )
 
 
 def _check_size(p: Poset, force: bool, limit: int = SIZE_GUARD) -> None:
@@ -199,7 +180,6 @@ def _extension_words(p: Poset) -> Iterator[tuple[int, ...]]:
     order so the output stream is lexicographically sorted."""
     n = p.size
     preds = p._pred_masks()
-    ground = p.ground
     full = (1 << n) - 1
     word: list[int] = []
 
@@ -214,7 +194,7 @@ def _extension_words(p: Poset) -> Iterator[tuple[int, ...]]:
             t ^= b
             e = b.bit_length() - 1
             if preds[e] & placed == preds[e]:
-                word.append(ground[e])
+                word.append(e + 1)
                 yield from walk(placed | b)
                 word.pop()
 
@@ -222,11 +202,8 @@ def _extension_words(p: Poset) -> Iterator[tuple[int, ...]]:
 
 
 def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
-    """All linear extensions as permutations, lexicographically sorted.
-    Requires ground set {1..n}."""
+    """All linear extensions as permutations, lexicographically sorted."""
     _check_size(p, force)
-    if p.ground != tuple(range(1, p.size + 1)):
-        raise ValueError(f"extensions as permutations need ground 1..n, got {p.ground}")
     return [Permutation(w) for w in _extension_words(p)]
 
 
@@ -247,7 +224,7 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
     smaller than e), and the polynomial attached to each ideal is packed
     into one big integer for speed.
 
-    >>> print(le_gf(Poset((1, 2, 3), [])))
+    >>> print(le_gf(Poset(3)))
     1 + 2*q + 2*q^2 + q^3
     """
     _check_size(p, force)
@@ -313,8 +290,7 @@ def _ideal_masks(p: Poset) -> list[int]:
 def _op_values_bruteforce(p: Poset, m_max: int) -> list[int]:
     # Reference route for `verify des` and the tests: tries every map.
     n = p.size
-    idx = {a: i for i, a in enumerate(p.ground)}
-    cover_pairs = [(idx[a], idx[b]) for a, b in p.covers()]
+    cover_pairs = [(a - 1, b - 1) for a, b in p.covers()]
     out = []
     for m in range(1, m_max + 1):
         count = 0

@@ -69,12 +69,6 @@ class IntPoly:
             out[k] += c
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -189,7 +183,6 @@ class IntPoly:
         return " ".join(parts)
 
 
-ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 

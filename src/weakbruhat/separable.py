@@ -105,32 +105,13 @@ class Internal:
 TreeNode = Union[Leaf, Internal]
 
 
-@dataclass(frozen=True)
-class SeparatingTree:
-    root: TreeNode
-
-    def leaves(self) -> tuple[int, ...]:
-        """Leaf values left to right; spells the source word."""
-        out: list[int] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, Leaf):
-                out.append(node.value)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return tuple(out)
-
-
-def separating_tree(pi: Permutation, largest: bool = False) -> SeparatingTree:
-    """Canonical separating tree, splitting at the smallest valid
-    prefix block each time (largest=True picks the other extreme, for
-    checking that tree choice does not matter).
+def separating_tree(pi: Permutation, largest: bool = False) -> TreeNode:
+    """Root of the canonical separating tree, splitting at the smallest
+    valid prefix block each time (largest=True picks the other extreme,
+    for checking that tree choice does not matter).
 
     >>> t = separating_tree(Permutation((4, 2, 3, 1)))
-    >>> t.root.sign, t.root.right.sign, t.root.right.left.sign
+    >>> t.sign, t.right.sign, t.right.left.sign
     ('negative', 'negative', 'positive')
     """
     def build(word, lo: int, hi: int) -> TreeNode:
@@ -142,41 +123,33 @@ def separating_tree(pi: Permutation, largest: bool = False) -> SeparatingTree:
         sign, left, right = split
         return Internal(build(*left), build(*right), sign, len(word))
 
-    return SeparatingTree(build(pi.word, 1, pi.size))
+    return build(pi.word, 1, pi.size)
 
 
-def _internal_nodes(root: TreeNode):
-    """(node, parent) pairs over internal nodes, parent None at root."""
-    stack = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if isinstance(node, Internal):
-            yield node, parent
-            stack.append((node.left, node))
-            stack.append((node.right, node))
-
-
-def _closed_formula(tree: SeparatingTree, sign: str) -> IntPoly:
+def _closed_formula(root: TreeNode, sign: str) -> IntPoly:
     """Ratio of q-factorials over the maximal runs of equal sign in the
     tree: a non-root internal node whose parent has the other sign
     contributes the q-factorial of its leaf count, to the numerator
     when its sign is `sign` and to the denominator otherwise; the root
     contributes [n]! to the numerator when its sign is `sign`."""
-    root = tree.root
-    if isinstance(root, Leaf):
-        return ONE
     num, den = ONE, ONE
-    for node, parent in _internal_nodes(root):
-        if parent is not None and parent.sign == node.sign:
+    stack = [(root, None)]
+    while stack:
+        node, parent_sign = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        stack.append((node.left, node.sign))
+        stack.append((node.right, node.sign))
+        if node.sign == parent_sign:
             continue
         if node.sign == sign:
             num = num * q_factorial(node.size)
-        elif parent is not None:
+        elif parent_sign is not None:
             den = den * q_factorial(node.size)
     return num.exact_div(den)
 
 
-def gf_below_closed(tree: SeparatingTree) -> IntPoly:
+def gf_below_closed(root: TreeNode) -> IntPoly:
     """Closed formula for the rank generating function of the interval
     from the identity up to the tree's permutation: negative runs go in
     the numerator, positive runs in the denominator.
@@ -184,10 +157,10 @@ def gf_below_closed(tree: SeparatingTree) -> IntPoly:
     >>> print(gf_below_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + 2*q + 2*q^2 + 2*q^3 + q^4
     """
-    return _closed_formula(tree, NEGATIVE)
+    return _closed_formula(root, NEGATIVE)
 
 
-def gf_above_closed(tree: SeparatingTree) -> IntPoly:
+def gf_above_closed(root: TreeNode) -> IntPoly:
     """Closed formula for the interval from the permutation up to the
     reversal.  This is the complement dual of gf_below_closed:
     complementing the word flips every sign of its tree, so the
@@ -196,7 +169,7 @@ def gf_above_closed(tree: SeparatingTree) -> IntPoly:
     >>> print(gf_above_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + q + q^2
     """
-    return _closed_formula(tree, POSITIVE)
+    return _closed_formula(root, POSITIVE)
 
 
 def _below_rec(word, lo: int, hi: int) -> IntPoly:
@@ -267,16 +240,13 @@ def gf_above_from_complement(pi: Permutation) -> IntPoly:
     return q_factorial(pi.size).exact_div(gf_below_recursive(pi))
 
 
-def tree_json(tree: SeparatingTree) -> dict:
-    def encode(node: TreeNode) -> dict:
-        if isinstance(node, Leaf):
-            return {"leaf": node.value}
-        return {"sign": node.sign, "children": [encode(node.left), encode(node.right)]}
-
-    return encode(tree.root)
+def tree_json(node: TreeNode) -> dict:
+    if isinstance(node, Leaf):
+        return {"leaf": node.value}
+    return {"sign": node.sign, "children": [tree_json(node.left), tree_json(node.right)]}
 
 
-def tree_dot(tree: SeparatingTree) -> str:
+def tree_dot(root: TreeNode) -> str:
     """DOT rendering with signed internal nodes and letter leaves."""
     lines = ["digraph separating_tree {"]
     counter = 0
@@ -295,7 +265,7 @@ def tree_dot(tree: SeparatingTree) -> str:
                 lines.append(f"  {name} -> {child_name};")
         return name
 
-    emit(tree.root)
+    emit(root)
     lines.append("}")
     return "\n".join(lines)
 

@@ -64,8 +64,8 @@ class SurveyReport:
 @lru_cache(maxsize=None)
 def schroder(k: int) -> int:
     """Large Schroeder numbers 1, 2, 6, 22, 90, 394, 1806, 8558, ...
-    by the convolution recurrence; the survey's separable counts are
-    checked against these.
+    by the convolution recurrence.  `verify main-theorem` and the tests
+    check the separable counts against these.
 
     >>> [schroder(k) for k in range(8)]
     [1, 2, 6, 22, 90, 394, 1806, 8558]
@@ -221,6 +221,8 @@ def scan(
         raise UsageError(f"workers must be >= 1, got {workers}")
 
     if out is None:
+        if resume:
+            raise UsageError("resume needs the CSV path (--out) of the scan to continue")
         for chunk in _iter_chunk_results(n, workers, 0):
             for rec in chunk:
                 counts.add(rec[1], rec[3], rec[5], rec[6])

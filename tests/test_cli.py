@@ -237,6 +237,7 @@ def test_force_prints_memory_note(capsys):
         ("survey", "--n", "-1"),
         ("survey", "--n", "4", "--workers", "-2"),
         ("survey", "--n", "4", "--workers", "0"),
+        ("survey", "--n", "3", "--resume"),
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):
@@ -257,6 +258,8 @@ def test_library_callers_get_the_range_checks_too():
         scan(4, workers=-2)
     with pytest.raises(UsageError):
         scan(0)
+    with pytest.raises(UsageError, match="--out"):
+        scan(3, resume=True)
 
 
 def test_survey_has_no_mode_option(capsys):
@@ -264,6 +267,13 @@ def test_survey_has_no_mode_option(capsys):
         main(["survey", "--n", "4", "--mode", "exact-bruteforce"])
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
+
+
+def test_bijection_has_no_check_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "4132", "--check"])
+    assert exc.value.code == 2
+    assert "--check" in capsys.readouterr().err
 
 
 def test_force_memory_note_on_analyze_counts_order_ideals(capsys):

@@ -108,11 +108,6 @@ def test_compose_applies_right_first():
         compose(sigma, identity(3))
 
 
-def test_call_is_one_indexed():
-    pi = Permutation((3, 1, 2))
-    assert (pi(1), pi(2), pi(3)) == (3, 1, 2)
-
-
 def test_complement():
     assert Permutation((2, 4, 1, 3)).complement() == Permutation((3, 1, 4, 2))
     for pi in all_permutations(4):

@@ -23,35 +23,52 @@ from weakbruhat.poset import (
     ordinal_sum,
 )
 from weakbruhat.qpoly import ONE, q_binomial, q_factorial
+from weakbruhat.verify import _all_posets
 
 
 def antichain(n):
-    return Poset(range(1, n + 1))
+    return Poset(n)
 
 
 def chain(n):
-    return Poset(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+    return Poset(n, [(i, i + 1) for i in range(1, n)])
 
 
 def test_construction_and_closure():
-    p = Poset((1, 2, 3), [(1, 2), (2, 3)])
+    p = Poset(3, [(1, 2), (2, 3)])
+    assert p.size == 3
     assert p.less(1, 3)  # transitive closure inferred
     assert p.covers() == ((1, 2), (2, 3))
     assert p.relations() == ((1, 2), (1, 3), (2, 3))
-    with pytest.raises(ValueError):
-        Poset((1, 2, 3), [(1, 2), (2, 3), (3, 1)])
-    with pytest.raises(ValueError):
-        Poset((1, 1, 2))
-    with pytest.raises(ValueError):
-        Poset((0, 1), [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "n, rels, match",
+    [
+        (0, [], "positive"),
+        (-1, [], "positive"),
+        (3, [(1, 4)], "leaves"),
+        (3, [(0, 1)], "leaves"),
+        (3, [(2, -1)], "leaves"),
+        (3, [(2, 2)], "reflexive"),
+        (2, [(1, 2), (2, 1)], "cycle"),
+        (3, [(1, 2), (2, 3), (3, 1)], "cycle"),
+    ],
+)
+def test_constructor_rejects_bad_input(n, rels, match):
+    with pytest.raises(ValueError, match=match):
+        Poset(n, rels)
 
 
 def test_diamond_covers():
-    p = Poset((1, 2, 3, 4), [(1, 2), (1, 3), (2, 4), (3, 4)])
+    p = Poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
     assert p.covers() == ((1, 2), (1, 3), (2, 4), (3, 4))
     assert p.less(1, 4)
     assert not p.less(2, 3)
     assert not p.less(2, 2)
+    for a, b in ((0, 1), (1, 0), (5, 1), (1, 5)):
+        with pytest.raises(ValueError, match="leaves"):
+            p.less(a, b)
 
 
 def test_inversion_poset_fixture():
@@ -66,9 +83,9 @@ def test_inversion_poset_matches_explicit_pairs(n):
     for pi in all_permutations(n):
         w = pi.word
         pairs = [(w[i], w[j]) for i in range(n) for j in range(i + 1, n) if w[i] < w[j]]
-        want = Poset(range(1, n + 1), pairs)
+        want = Poset(n, pairs)
         got = inversion_poset(pi)
-        assert got.ground == want.ground
+        assert got.size == want.size
         assert got.relations() == want.relations()
         assert got.covers() == want.covers()
         assert got == want
@@ -88,11 +105,22 @@ def test_chain_has_one_extension():
 
 
 def test_le_gf_respects_block_structure():
-    p, q = chain(2), antichain(2).shifted(2)
+    p, q = chain(2), antichain(2)
     assert le_gf(ordinal_sum(p, q)) == le_gf(p) * le_gf(q)
     assert le_gf(disjoint_union(p, q)) == le_gf(p) * le_gf(q) * q_binomial(4, 2)
-    with pytest.raises(ValueError):
-        disjoint_union(chain(2), chain(3))  # overlapping ground sets
+
+
+@pytest.mark.parametrize("a", (1, 2, 3))
+def test_combinators_match_the_checked_constructor(a):
+    # q's elements are numbered after p's; the masks built directly must
+    # equal the closure of the shifted relations plus the cross pairs
+    for b in (1, 2, 3):
+        for p in _all_posets(a):
+            for q in _all_posets(b):
+                own = list(p.relations()) + [(x + a, y + a) for x, y in q.relations()]
+                cross = [(x, y) for x in range(1, a + 1) for y in range(a + 1, a + b + 1)]
+                assert disjoint_union(p, q) == Poset(a + b, own), (p, q)
+                assert ordinal_sum(p, q) == Poset(a + b, own + cross), (p, q)
 
 
 def test_le_gf_matches_extension_listing():
@@ -110,9 +138,7 @@ def test_le_gf_matches_extension_listing():
 def test_le_gf_exact_past_64_bit_coefficients():
     # Four disjoint 10-element chains: the extensions are the shuffles,
     # counted by a q-multinomial whose largest coefficient has 66 bits.
-    p = Poset(
-        range(1, 41), [(10 * k + i, 10 * k + i + 1) for k in range(4) for i in range(1, 10)]
-    )
+    p = Poset(40, [(10 * k + i, 10 * k + i + 1) for k in range(4) for i in range(1, 10)])
     f10 = q_factorial(10)
     want = q_factorial(40).exact_div(f10 * f10 * f10 * f10)
     assert max(want.coeffs).bit_length() > 64
@@ -166,12 +192,6 @@ def test_guards():
         order_polynomial_values(chain(3), 0)
 
 
-def test_shifted_relabels():
-    p = chain(3).shifted(4)
-    assert p.ground == (5, 6, 7)
-    assert p.relations() == ((5, 6), (5, 7), (6, 7))
-
-
 small_relations = st.lists(
     st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda t: t[0] != t[1]),
     max_size=6,
@@ -182,7 +202,7 @@ small_relations = st.lists(
 @given(small_relations)
 def test_random_posets_consistent(rels):
     try:
-        p = Poset(range(1, 6), rels)
+        p = Poset(5, rels)
     except ValueError:
         return  # the relation set had a cycle
     gf = le_gf(p)

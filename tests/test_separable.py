@@ -107,29 +107,29 @@ def test_separating_tree_root_split_fixtures():
         ((1, 2, 3, 4), POSITIVE, 1),
         ((2, 1, 4, 3), POSITIVE, 2),
     ):
-        root = separating_tree(Permutation(word)).root
+        root = separating_tree(Permutation(word))
         assert (root.sign, root.left.size) == (sign, left_size), word
     with pytest.raises(NotSeparable):
         separating_tree(Permutation((2, 4, 1, 3)))
-    assert separating_tree(Permutation((1,))).root == Leaf(1)
+    assert separating_tree(Permutation((1,))) == Leaf(1)
 
 
 def test_separating_tree_structure():
-    tree = separating_tree(Permutation((4, 2, 3, 1)))
-    root = tree.root
+    root = separating_tree(Permutation((4, 2, 3, 1)))
     assert root.sign == "negative"
     assert root.right.sign == "negative"
     assert root.right.left.sign == "positive"
-    assert tree.leaves() == (4, 2, 3, 1)
+    leaves = (root.left, root.right.left.left, root.right.left.right, root.right.right)
+    assert leaves == (Leaf(4), Leaf(2), Leaf(3), Leaf(1))
     with pytest.raises(NotSeparable):
         separating_tree(Permutation((2, 4, 1, 3)))
 
 
 def test_single_letter_tree():
-    tree = separating_tree(Permutation((1,)))
-    assert isinstance(tree.root, Leaf)
-    assert gf_below_closed(tree) == ONE
-    assert gf_above_closed(tree) == ONE
+    root = separating_tree(Permutation((1,)))
+    assert isinstance(root, Leaf)
+    assert gf_below_closed(root) == ONE
+    assert gf_above_closed(root) == ONE
 
 
 def test_closed_formula_fixture_4231():

@@ -14,6 +14,7 @@ letters at word positions i and i+1:
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 
@@ -110,7 +111,9 @@ class Permutation:
         return _trusted(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
 
     def contains_pattern(self, pattern) -> bool:
-        """Naive subsequence scan for an order-isomorphic copy.
+        """Subsequence scan for an order-isomorphic copy: each k-subset
+        of letters is read in the order of the pattern's values, and a
+        copy is one whose letters then increase.
 
         >>> Permutation((2, 4, 1, 3)).contains_pattern((2, 3, 1))
         True
@@ -119,17 +122,14 @@ class Permutation:
         """
         if not isinstance(pattern, Permutation):
             pattern = Permutation(pattern)
-        pat = pattern.word
-        k = len(pat)
+        k = pattern.size
         if k > self.size:
             return False
-        pairs = [
-            (i, j, pat[i] < pat[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-        for vals in combinations(self.word, k):
-            if all((vals[i] < vals[j]) == asc for i, j, asc in pairs):
+        if k == 1:
+            return True
+        by_value = itemgetter(*(i - 1 for i in pattern.inverse().word))
+        for vals in map(by_value, combinations(self.word, k)):
+            if all(map(lt, vals, vals[1:])):
                 return True
         return False
 

@@ -13,7 +13,7 @@ are O(1) and the extension walks are cheap.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -288,17 +288,42 @@ def _ideal_masks(p: Poset) -> list[int]:
 
 
 def _op_values_bruteforce(p: Poset, m_max: int) -> list[int]:
-    # Reference route for `verify des` and the tests: tries every map.
+    # Reference route for `verify des` and the tests: enumerates every
+    # order-preserving map into 1..m_max.  Elements get their values in
+    # index order, and each cover pair is checked when its later-indexed
+    # end gets a value, so no partial map that breaks f(a) <= f(b) is
+    # extended.  A map with largest value v maps into 1..m exactly when
+    # v <= m, so Omega(m) is the running sum of the tally by largest
+    # value.
     n = p.size
-    cover_pairs = [(a - 1, b - 1) for a, b in p.covers()]
-    out = []
-    for m in range(1, m_max + 1):
-        count = 0
-        for f in product(range(1, m + 1), repeat=n):
-            if all(f[i] <= f[j] for i, j in cover_pairs):
-                count += 1
-        out.append(count)
-    return out
+    floors: list[list[int]] = [[] for _ in range(n)]  # covered, earlier index
+    ceilings: list[list[int]] = [[] for _ in range(n)]  # covering, earlier index
+    for a, b in p.covers():
+        if a < b:
+            floors[b - 1].append(a - 1)
+        else:
+            ceilings[a - 1].append(b - 1)
+    f = [0] * n
+    tally = [0] * (m_max + 1)
+
+    def walk(i: int, top: int) -> None:
+        lo, hi = 1, m_max
+        for a in floors[i]:
+            if f[a] > lo:
+                lo = f[a]
+        for b in ceilings[i]:
+            if f[b] < hi:
+                hi = f[b]
+        if i == n - 1:
+            for v in range(lo, hi + 1):
+                tally[v if v > top else top] += 1
+            return
+        for v in range(lo, hi + 1):
+            f[i] = v
+            walk(i + 1, v if v > top else top)
+
+    walk(0, 0)
+    return list(accumulate(tally[1:]))
 
 
 def _op_values_ideal_dp(p: Poset, m_max: int) -> list[int]:

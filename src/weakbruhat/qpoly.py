@@ -18,7 +18,7 @@ the divisibility test used elsewhere in the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NonzeroRemainder
 
@@ -254,23 +254,43 @@ def cyclotomic(d: int) -> IntPoly:
     return p
 
 
-def _totients_upto(limit: int) -> list[int]:
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+def _candidate_orders(degree: int) -> list[int]:
+    """Every d with phi(d) <= degree, ascending.
 
+    Any cyclotomic factor of p has phi(d) = deg(cyclotomic(d)) <= deg(p).
+    A prime r dividing d puts the factor r - 1 into phi(d), so d is a
+    product of powers of the primes r <= degree + 1; each branch of the
+    search stops as soon as phi would pass degree.
 
-def _candidate_orders(degree: int) -> Iterator[int]:
-    # Any cyclotomic factor of p has phi(d) = deg(cyclotomic(d)) <= deg(p),
-    # and phi(d) >= sqrt(d/2) bounds the search range.
-    limit = 2 * degree * degree + 1
-    phi = _totients_upto(limit)
-    for d in range(1, limit + 1):
-        if phi[d] <= degree:
-            yield d
+    >>> _candidate_orders(2)
+    [1, 2, 3, 4, 6]
+    """
+    bound = degree + 1
+    is_prime = [True] * (bound + 1)
+    primes = []
+    for r in range(2, bound + 1):
+        if is_prime[r]:
+            primes.append(r)
+            for k in range(r * r, bound + 1, r):
+                is_prime[k] = False
+    out = []
+
+    def extend(d: int, phi: int, start: int) -> None:
+        out.append(d)
+        for i in range(start, len(primes)):
+            r = primes[i]
+            phi_r = phi * (r - 1)
+            if phi_r > degree:
+                break  # r - 1 only grows along the primes
+            d_r = d * r
+            while phi_r <= degree:
+                extend(d_r, phi_r, i + 1)
+                d_r *= r
+                phi_r *= r
+
+    if degree >= 1:
+        extend(1, 1, 0)
+    return sorted(out)
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:

@@ -2,6 +2,7 @@
 against definitions applied from scratch: explicit inversion counting
 and inversion-set containment."""
 
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -173,6 +174,28 @@ def test_contains_pattern():
     assert not Permutation((3, 2, 1)).contains_pattern((1, 2))
     assert not Permutation((1, 2)).contains_pattern((1, 2, 3))
     assert Permutation((1,)).contains_pattern((1,))
+
+
+def literally_contains(word, pattern):
+    k = len(pattern)
+    return any(
+        all(
+            (vals[i] < vals[j]) == (pattern[i] < pattern[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+        )
+        for vals in combinations(word, k)
+    )
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ((1,), (1, 2), (2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2), (1, 3, 2, 4)),
+)
+def test_contains_pattern_matches_the_definition(pattern):
+    for n in range(1, 7):
+        for pi in all_permutations(n):
+            assert pi.contains_pattern(pattern) == literally_contains(pi.word, pattern), pi
 
 
 def test_all_permutations_lex_and_complete():

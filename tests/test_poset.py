@@ -2,6 +2,7 @@
 oracle: an antichain's extensions are the whole symmetric group, so its
 generating function must equal the q-factorial."""
 
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -176,6 +177,34 @@ def test_order_polynomial_routes_agree():
     for pi in all_permutations(4):
         p = inversion_poset(pi)
         assert _op_values_bruteforce(p, 6) == order_polynomial_values(p, 6)
+
+
+def literal_op_values(p, m_max):
+    """Omega(m) for m = 1..m_max by trying every map into 1..m."""
+    covers = [(a - 1, b - 1) for a, b in p.covers()]
+    return [
+        sum(
+            all(f[a] <= f[b] for a, b in covers)
+            for f in product(range(1, m + 1), repeat=p.size)
+        )
+        for m in range(1, m_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_op_bruteforce_counts_every_map_of_every_small_poset(k):
+    posets = _all_posets(k)
+    if k > 1:  # covers running from a higher index to a lower one
+        assert any(a > b for p in posets for a, b in p.covers())
+    for p in posets:
+        assert _op_values_bruteforce(p, k + 2) == literal_op_values(p, k + 2), p
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_op_bruteforce_counts_every_map_of_inversion_posets(n):
+    for pi in all_permutations(n):
+        p = inversion_poset(pi)
+        assert _op_values_bruteforce(p, n + 2) == literal_op_values(p, n + 2), pi
 
 
 def test_guards():

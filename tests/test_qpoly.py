@@ -14,6 +14,7 @@ from weakbruhat.errors import NonzeroRemainder
 from weakbruhat.qpoly import (
     ONE,
     IntPoly,
+    _candidate_orders,
     cyclotomic,
     is_cyclotomic_product,
     q_binomial,
@@ -152,6 +153,27 @@ def test_is_cyclotomic_product_accepts_q_analogs():
     # factors whose order exceeds the degree
     assert is_cyclotomic_product(q_int(6).exact_div(q_int(3)))
     assert is_cyclotomic_product(cyclotomic(12) * cyclotomic(3))
+
+
+def test_candidate_orders_are_every_order_with_small_totient():
+    # Euler's phi by a sieve over 1..2*D^2 + 1, the range that
+    # phi(d) >= sqrt(d / 2) leaves for phi(d) <= D
+    top = 150
+    limit = 2 * top * top + 1
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    for degree in range(top + 1):
+        expected = [d for d in range(1, 2 * degree * degree + 2) if phi[d] <= degree]
+        assert _candidate_orders(degree) == expected, degree
+
+
+def test_is_cyclotomic_product_at_high_degree():
+    big = q_factorial(30)
+    assert big.degree == 435
+    assert is_cyclotomic_product(big)
 
 
 def test_is_cyclotomic_product_rejects():

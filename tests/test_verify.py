@@ -147,6 +147,13 @@ def test_passing_suites(name, n):
     assert result.passed, [c.label for c in result.checks if not c.passed]
 
 
+@pytest.mark.slow
+def test_des_passes_at_6():
+    result = run_suite("des", 6)
+    assert result.passed, [c.label for c in result.checks if not c.passed]
+    assert {c.detail for c in result.checks} == {"873 inversion posets checked, n <= 6"}
+
+
 def test_op_lemma_counts_small_posets():
     result = run_suite("op-lemma")
     assert result.passed

@@ -84,7 +84,8 @@ def _gf_pair(pi: Permutation, sep: bool, force: bool) -> tuple[IntPoly, IntPoly]
 def _cmd_analyze(args) -> int:
     pi = _parse_perm(args.perm)
     if args.force:
-        # neither route enumerates S_n; le_gf walks at most 2^n order ideals
+        # neither route enumerates S_n; le_gf keeps one entry per order
+        # filter of the inversion poset, and there are at most 2^n
         _memory_note(2**pi.size)
     sep = is_separable(pi)
     below, above = _gf_pair(pi, sep, args.force)

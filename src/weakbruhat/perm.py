@@ -60,13 +60,13 @@ class Permutation:
     def length(self) -> int:
         """Number of inversions: pairs i < j with word[i] > word[j]."""
         if self._length is None:
-            w = self.word
-            self._length = sum(
-                1
-                for i in range(len(w))
-                for j in range(i + 1, len(w))
-                if w[i] > w[j]
-            )
+            # from the right: each letter inverts with the smaller letters
+            # already seen, bit a of seen standing for letter a
+            seen = inv = 0
+            for a in reversed(self.word):
+                inv += (seen & ((1 << a) - 1)).bit_count()
+                seen |= 1 << a
+            self._length = inv
         return self._length
 
     def __eq__(self, other: object) -> bool:

@@ -9,6 +9,12 @@ polynomial values.
 The strict order relation is stored transitively closed, one bitmask
 per element (bit b - 1 of mask a - 1 set when a < b), so comparisons
 are O(1) and the extension walks are cheap.
+
+`le_gf` deletes one minimal element at a time (Bjorner-Wachs, "Permutation
+statistics and linear extensions of posets", 1991).  Deleting the
+minimal letter e from an inversion poset P(pi) leaves the inversion
+poset of pi with e deleted, renumbered, so the words of S_n share their
+sub-posets; the small ones are kept in one table that all calls share.
 """
 
 from __future__ import annotations
@@ -208,52 +214,79 @@ def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
 
 
 def _pack_width(n: int) -> int:
-    """Bits per coefficient slot in le_gf for an n-element poset.  Every
-    coefficient attached to an order ideal counts some of its linear
-    extensions, so it is at most n! and never carries into the next
-    slot."""
+    """Fewest bits per coefficient slot that le_gf needs for an n-element
+    poset.  Every coefficient of a sub-poset's generating function counts
+    some of its linear extensions, so it is at most n! and never carries
+    into the next slot."""
     return factorial(n).bit_length() + 1
+
+
+# Packed generating functions of the sub-posets with at most
+# _SHARED_MAX elements, keyed on their closed masks and shared by every
+# le_gf call in the process.  Their slots are _SHARED_WIDTH bits wide,
+# so calls on posets with _pack_width(n) > _SHARED_WIDTH (n > 20) leave
+# the table alone.  Sub-posets of size one or less are not stored, so
+# filled by inversion posets alone (the survey, the CLI) it holds at most
+# 2! + 3! + ... + 7! = 5,912 entries.
+_SHARED_MAX = 7
+_SHARED_WIDTH = 64
+_shared_le: dict[tuple[int, ...], int] = {}
+
+
+def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> int:
+    # le(P) = sum over minimal e of q^(e-1) * le(std(P - e)): placing
+    # the minimal element e first inverts it with the e-1 smaller
+    # elements still unplaced.  A minimal element has no bit in any
+    # mask, so dropping bit i shifts the higher bits down by one.
+    n = len(gt)
+    if n < 2:
+        return 1
+    memo = shared if n <= _SHARED_MAX else local
+    got = memo.get(gt)
+    if got is not None:
+        return got
+    above = 0
+    for m in gt:
+        above |= m
+    acc = 0
+    t = ((1 << n) - 1) & ~above
+    while t:
+        b = t & -t
+        t ^= b
+        i = b.bit_length() - 1
+        low = b - 1
+        rest = gt[:i] + gt[i + 1 :]
+        sub = tuple([(m & low) | (m >> (i + 1) << i) for m in rest])
+        acc += _le_packed(sub, width, local, shared) << (width * i)
+    memo[gt] = acc
+    return acc
 
 
 def le_gf(p: Poset, force: bool = False) -> IntPoly:
     """Generating function of linear extensions by inversions of the
     extension word.
 
-    Runs over order ideals rather than individual extensions: placing
-    element e after ideal S contributes q^(number of unplaced elements
-    smaller than e), and the polynomial attached to each ideal is packed
-    into one big integer for speed.
+    Deletes one minimal element at a time: le(P) is the sum over the
+    minimal elements e of q^(e-1) le(std(P - e)), where std renumbers
+    the remaining elements 1..n-1 in order.  Each polynomial is packed
+    into one integer, a slot per coefficient.  Sub-posets with at most
+    seven elements are remembered across calls in the shared table;
+    larger ones only for the length of the call, so a call keeps at
+    most one entry per order filter of p.
 
     >>> print(le_gf(Poset(3)))
     1 + 2*q + 2*q^2 + q^3
     """
     _check_size(p, force)
-    n = p.size
-    pack = _pack_width(n)
-    preds = p._pred_masks()
-    full = (1 << n) - 1
-    dp = {0: 1}
-    for _ in range(n):
-        ndp: dict[int, int] = {}
-        get = ndp.get
-        for placed, acc in dp.items():
-            rem = full & ~placed
-            t = rem
-            while t:
-                b = t & -t
-                t ^= b
-                e = b.bit_length() - 1
-                if preds[e] & placed == preds[e]:
-                    shift = pack * ((b - 1) & rem).bit_count()
-                    key = placed | b
-                    ndp[key] = get(key, 0) + (acc << shift)
-        dp = ndp
-    packed = dp[full]
-    mask = (1 << pack) - 1
+    width = max(_SHARED_WIDTH, _pack_width(p.size))
+    local: dict[tuple[int, ...], int] = {}
+    shared = _shared_le if width == _SHARED_WIDTH else local
+    packed = _le_packed(p._gt, width, local, shared)
+    mask = (1 << width) - 1
     coeffs = []
     while packed:
         coeffs.append(packed & mask)
-        packed >>= pack
+        packed >>= width
     return IntPoly(coeffs)
 
 

@@ -91,11 +91,17 @@ def _predicates(gf: IntPoly, n: int) -> tuple[bool, bool, bool, bool]:
     sym = gf.is_symmetric()
     uni = gf.is_unimodal()
     cyc = is_cyclotomic_product(gf)
-    try:
-        q_factorial(n).exact_div(gf)
-        div = True
-    except NonzeroRemainder:
-        div = False
+    # Only a cyclotomic product can divide [n]!: [n]! is the product of
+    # Phi_d^(n // d) over 2 <= d <= n (Phi_1 is no factor, as [n]! at
+    # q = 1 is n! != 0), and by unique factorization in Z[q] a divisor
+    # with constant term 1 is a product of some of those Phi_d.
+    div = False
+    if cyc:
+        try:
+            q_factorial(n).exact_div(gf)
+            div = True
+        except NonzeroRemainder:
+            pass
     result = (sym, uni, cyc, div)
     _pred_cache[key] = result
     return result

@@ -2,13 +2,14 @@
 oracle: an antichain's extensions are the whole symmetric group, so its
 generating function must equal the q-factorial."""
 
-from itertools import product
+from itertools import combinations, islice, product
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakbruhat import poset
 from weakbruhat.errors import GuardExceeded
 from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.poset import (
@@ -139,11 +140,14 @@ def test_le_gf_matches_extension_listing():
 def test_le_gf_exact_past_64_bit_coefficients():
     # Four disjoint 10-element chains: the extensions are the shuffles,
     # counted by a q-multinomial whose largest coefficient has 66 bits.
+    # The shared table's slots are 64 bits, so this call leaves it alone.
     p = Poset(40, [(10 * k + i, 10 * k + i + 1) for k in range(4) for i in range(1, 10)])
     f10 = q_factorial(10)
     want = q_factorial(40).exact_div(f10 * f10 * f10 * f10)
     assert max(want.coeffs).bit_length() > 64
+    before = dict(poset._shared_le)
     assert le_gf(p, force=True) == want
+    assert poset._shared_le == before
 
 
 def test_pack_width_holds_every_coefficient():
@@ -154,6 +158,38 @@ def test_pack_width_holds_every_coefficient():
     for n in range(1, 30):
         assert factorial(n) < 2 ** _pack_width(n)
         assert max(q_factorial(n).coeffs) < 2 ** _pack_width(n)
+
+
+@st.composite
+def posets(draw, max_size=7):
+    # relations kept only when they agree with a random order, so every
+    # draw is acyclic and the labels need not be a linear extension
+    n = draw(st.integers(1, max_size))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return Poset(n, [(a, b) for a, b in pairs if order.index(a) < order.index(b)])
+
+
+@settings(max_examples=150)
+@given(posets())
+def test_le_gf_is_the_inversion_histogram_of_the_extensions(p):
+    gf = le_gf(p)
+    hist = [0] * (gf.degree + 1)
+    for e in linear_extensions(p):
+        hist[sum(a > b for a, b in combinations(e.word, 2))] += 1
+    assert tuple(hist) == gf.coeffs
+
+
+def test_le_gf_same_with_the_shared_table_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(poset, "_shared_le", {})
+    ps = [inversion_poset(pi) for n in (5, 8) for pi in islice(all_permutations(n), 0, None, 97)]
+    ps += [antichain(7), chain(9), ordinal_sum(antichain(4), antichain(5))]
+    cold = []
+    for p in ps:
+        poset._shared_le.clear()
+        cold.append(le_gf(p))
+    assert [le_gf(p) for p in ps] == cold
+    assert len(poset._shared_le) > 1000
 
 
 def test_descent_gf_antichain_is_eulerian():

@@ -44,7 +44,7 @@ def test_iter_records_n4():
     assert by_word["4321"].divides_qfact
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
 def test_records_match_interval_bfs(n):
     # the survey's route (recursion or linear extensions) against BFS
     for rec in iter_records(n):
@@ -226,6 +226,38 @@ def test_predicate_cache_keeps_sizes_apart():
     gf = IntPoly((1, 1, 1, 1, 1))
     assert survey._predicates(gf, 4)[3] is False
     assert survey._predicates(gf, 5)[3] is True
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_divisibility_runs_only_on_cyclotomic_products(n, monkeypatch):
+    # the shortcut against dividing [n]! by every distinct gf of S_n
+    from weakbruhat.errors import NonzeroRemainder
+    from weakbruhat.qpoly import is_cyclotomic_product, q_factorial
+
+    monkeypatch.setattr(survey, "_pred_cache", {})
+    for gf in {rec.gf_below for rec in iter_records(n)}:
+        try:
+            q_factorial(n).exact_div(gf)
+            div = True
+        except NonzeroRemainder:
+            div = False
+        assert survey._predicates(gf, n)[2:] == (is_cyclotomic_product(gf), div), gf
+
+
+def test_shared_le_table_keeps_only_small_posets(monkeypatch, capsys):
+    # a survey and a 10-letter non-separable analyze; sub-posets with
+    # more than seven elements stay in their call's own table
+    from math import factorial
+
+    from weakbruhat.cli import main
+
+    monkeypatch.setattr(poset, "_shared_le", {})
+    scan(7, workers=1)
+    assert main(["--json", "analyze", "2,4,1,3,5,6,7,8,9,10"]) == 0
+    assert json.loads(capsys.readouterr().out)["separable"] is False
+    sizes = {len(key) for key in poset._shared_le}
+    assert max(sizes) == poset._SHARED_MAX == 7
+    assert len(poset._shared_le) <= sum(factorial(k) for k in range(2, 8))
 
 
 def test_record_tuple_rejects_malformed_gf(monkeypatch):

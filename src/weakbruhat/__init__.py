@@ -14,7 +14,6 @@ from .errors import (
 )
 from .perm import (
     Permutation,
-    adjacent_transposition,
     all_permutations,
     compose,
     identity,
@@ -75,7 +74,6 @@ __all__ = [
     "Poset",
     "SurveyRecord",
     "SurveyReport",
-    "adjacent_transposition",
     "all_permutations",
     "all_saturated_chains",
     "build_pair_table",

@@ -1,5 +1,5 @@
 """Permutations in one-line notation, with the operations that drive
-the (right) weak order: inversion count, adjacent swaps, pattern
+the (right) weak order: inversion count, composition, pattern
 containment and the order test itself.
 
 A permutation of size n is a word of the integers 1..n, each exactly
@@ -7,7 +7,7 @@ once.  Composition follows (sigma tau)(i) = sigma(tau(i)), so
 multiplying by the adjacent transposition s_i on the right swaps the
 letters at word positions i and i+1:
 
->>> print(compose(parse_permutation("2413"), adjacent_transposition(4, 2)))
+>>> print(compose(parse_permutation("2413"), parse_permutation("1324")))
 2143
 """
 
@@ -103,13 +103,6 @@ class Permutation:
         w = self.word
         return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
-    def times_s(self, i: int) -> "Permutation":
-        """Right product with s_i: swaps word positions i and i+1."""
-        if not 1 <= i < self.size:
-            raise ValueError(f"transposition index {i} out of range")
-        w = self.word
-        return _trusted(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
-
     def contains_pattern(self, pattern) -> bool:
         """Subsequence scan for an order-isomorphic copy: each k-subset
         of letters is read in the order of the pattern's values, and a
@@ -153,13 +146,6 @@ def identity(n: int) -> Permutation:
 def longest_element(n: int) -> Permutation:
     """The reversal n, n-1, ..., 1, top of the weak order."""
     return Permutation(range(n, 0, -1))
-
-
-def adjacent_transposition(n: int, i: int) -> Permutation:
-    """s_i in S_n, swapping i and i+1."""
-    if not 1 <= i < n:
-        raise ValueError(f"adjacent transposition index {i} out of range for n={n}")
-    return identity(n).times_s(i)
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:

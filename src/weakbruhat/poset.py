@@ -227,9 +227,12 @@ def _pack_width(n: int) -> int:
 # so calls on posets with _pack_width(n) > _SHARED_WIDTH (n > 20) leave
 # the table alone.  Sub-posets of size one or less are not stored, so
 # filled by inversion posets alone (the survey, the CLI) it holds at most
-# 2! + 3! + ... + 7! = 5,912 entries.
+# _SHARED_BOUND = 2! + 3! + ... + 7! = 5,912 entries.  Other posets could
+# grow it toward the millions of posets on at most 7 points, so le_gf
+# clears it before a call that finds it past that bound.
 _SHARED_MAX = 7
 _SHARED_WIDTH = 64
+_SHARED_BOUND = sum(factorial(k) for k in range(2, _SHARED_MAX + 1))
 _shared_le: dict[tuple[int, ...], int] = {}
 
 
@@ -270,14 +273,17 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
     minimal elements e of q^(e-1) le(std(P - e)), where std renumbers
     the remaining elements 1..n-1 in order.  Each polynomial is packed
     into one integer, a slot per coefficient.  Sub-posets with at most
-    seven elements are remembered across calls in the shared table;
-    larger ones only for the length of the call, so a call keeps at
-    most one entry per order filter of p.
+    seven elements are remembered across calls in the shared table,
+    which is emptied when it holds more than the 5,912 entries that
+    inversion posets can fill; larger ones only for the length of the
+    call, so a call keeps at most one entry per order filter of p.
 
     >>> print(le_gf(Poset(3)))
     1 + 2*q + 2*q^2 + q^3
     """
     _check_size(p, force)
+    if len(_shared_le) > _SHARED_BOUND:
+        _shared_le.clear()
     width = max(_SHARED_WIDTH, _pack_width(p.size))
     local: dict[tuple[int, ...], int] = {}
     shared = _shared_le if width == _SHARED_WIDTH else local

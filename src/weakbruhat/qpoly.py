@@ -60,15 +60,6 @@ class IntPoly:
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return IntPoly(out)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -229,9 +220,7 @@ def q_binomial(n: int, m: int) -> IntPoly:
     return q_factorial(n).exact_div(q_factorial(m) * q_factorial(n - m))
 
 
-_cyclotomic_cache: dict[int, IntPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial, by dividing q^d - 1 through by
     the cyclotomics of the proper divisors of d.  Results are cached.
@@ -243,14 +232,10 @@ def cyclotomic(d: int) -> IntPoly:
     """
     if d < 1:
         raise ValueError(f"cyclotomic index must be positive, got {d}")
-    got = _cyclotomic_cache.get(d)
-    if got is not None:
-        return got
     p = IntPoly([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
             p = p.exact_div(cyclotomic(e))
-    _cyclotomic_cache[d] = p
     return p
 
 

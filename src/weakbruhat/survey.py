@@ -10,7 +10,9 @@ consumes one chunk stream (serial at one worker, a fork pool
 otherwise), in lexicographic word order, so output files are
 deterministic and a checkpoint (record count plus a running SHA-256 of
 the emitted bytes) makes interrupted runs resumable with byte-identical
-results.
+results.  A resume, of a finished run or not, truncates the data file to
+the checkpointed prefix, recounts the summary from those rows and
+streams whatever records remain.
 """
 
 from __future__ import annotations
@@ -80,14 +82,9 @@ def schroder(k: int) -> int:
 # Per-process memo: many permutations share one generating function,
 # and the cyclotomic factoring is the expensive predicate.  Divisibility
 # is against [n]!, so n is part of the key.
-_pred_cache: dict[tuple, tuple[bool, bool, bool, bool]] = {}
-
-
-def _predicates(gf: IntPoly, n: int) -> tuple[bool, bool, bool, bool]:
-    key = (gf.coeffs, n)
-    got = _pred_cache.get(key)
-    if got is not None:
-        return got
+@lru_cache(maxsize=None)
+def _predicates(coeffs: tuple[int, ...], n: int) -> tuple[bool, bool, bool, bool]:
+    gf = IntPoly(coeffs)
     sym = gf.is_symmetric()
     uni = gf.is_unimodal()
     cyc = is_cyclotomic_product(gf)
@@ -102,9 +99,7 @@ def _predicates(gf: IntPoly, n: int) -> tuple[bool, bool, bool, bool]:
             div = True
         except NonzeroRemainder:
             pass
-    result = (sym, uni, cyc, div)
-    _pred_cache[key] = result
-    return result
+    return sym, uni, cyc, div
 
 
 def _gf_below(pi: Permutation) -> IntPoly:
@@ -120,7 +115,7 @@ def _record_tuple(word: tuple[int, ...]):
     gf = _gf_below(pi)
     if gf.coeffs[0] != 1 or gf.degree != pi.length or any(c < 0 for c in gf.coeffs):
         raise AssertionError(f"malformed generating function for {pi}: {gf.coeffs}")
-    sym, uni, cyc, div = _predicates(gf, pi.size)
+    sym, uni, cyc, div = _predicates(gf.coeffs, pi.size)
     return (str(pi), sep, gf.coeffs, sym, uni, cyc, div)
 
 
@@ -164,7 +159,10 @@ class _Counts:
         self.symmetric_cyclotomic = 0
         self.symmetric_nondividing = 0
 
-    def add(self, sep: bool, sym: bool, cyc: bool, div: bool) -> None:
+    def add(self, rec) -> None:
+        """Count one record: a record tuple, or a CSV row's fields with
+        each flag read as a bool, both in column order."""
+        _, sep, _, sym, _, cyc, div = rec
         if sep:
             self.separable += 1
         if sym:
@@ -173,15 +171,6 @@ class _Counts:
                 self.symmetric_cyclotomic += 1
             if not div:
                 self.symmetric_nondividing += 1
-
-
-def _aggregate_rows(lines, counts: _Counts) -> None:
-    for line in lines:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise CheckpointError(f"malformed survey row: {line!r}")
-        sep, sym, cyc, div = (parts[i] == "true" for i in (1, 3, 5, 6))
-        counts.add(sep, sym, cyc, div)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -219,7 +208,6 @@ def scan(
     resume=True continues an interrupted scan from its checkpoint."""
     _check_scan_args(n, force)
     t0 = time.monotonic()
-    total = factorial(n)
     counts = _Counts()
     if workers is None:
         workers = os.cpu_count() or 1
@@ -231,62 +219,50 @@ def scan(
             raise UsageError("resume needs the CSV path (--out) of the scan to continue")
         for chunk in _iter_chunk_results(n, workers, 0):
             for rec in chunk:
-                counts.add(rec[1], rec[3], rec[5], rec[6])
-        return _make_report(n, total, counts, t0)
+                counts.add(rec)
+        return _make_report(n, counts, t0)
 
     partial = out + ".partial"
     ckpt = out + ".ckpt"
-    hasher = sha256()
-    start = 0
-
-    if resume and os.path.exists(ckpt):
-        start, prefix = _load_checkpoint(ckpt, out, partial, n)
-        hasher.update(prefix)
-        _aggregate_rows(prefix.decode().splitlines()[1:], counts)
-        if start == total:
-            if os.path.exists(partial):
-                os.replace(partial, out)
-            report = _make_report(n, total, counts, t0)
-            _atomic_write(out + ".summary.json", json.dumps(asdict(report)).encode())
-            return report
-        with open(partial, "r+b") as fh:
-            fh.truncate(len(prefix))
-        sink = open(partial, "ab")
-    else:
-        sink = open(partial, "wb")
+    fresh = not (resume and os.path.exists(ckpt))
+    if fresh:
         header = CSV_HEADER.encode()
-        sink.write(header)
-        hasher.update(header)
-        _write_checkpoint(ckpt, n, 0, len(header), hasher.hexdigest())
+        completed, nbytes, hasher = 0, len(header), sha256(header)
+    else:
+        completed, nbytes, hasher = _load_checkpoint(ckpt, out, partial, n, counts)
+        if not os.path.exists(partial):
+            # a finished run: its data is already out, so take it back
+            os.replace(out, partial)
 
-    nbytes = sink.tell()
-    completed = start
-    try:
-        pending = _iter_chunk_results(n, workers, start)
-        for chunk in pending:
+    with open(partial, "wb" if fresh else "r+b") as sink:
+        if fresh:
+            sink.write(header)
+            _write_checkpoint(ckpt, n, 0, nbytes, hasher.hexdigest())
+        else:
+            sink.truncate(nbytes)
+            sink.seek(nbytes)
+        for chunk in _iter_chunk_results(n, workers, completed):
             for rec in chunk:
                 row = _format_row(rec).encode()
                 sink.write(row)
                 hasher.update(row)
                 nbytes += len(row)
-                counts.add(rec[1], rec[3], rec[5], rec[6])
+                counts.add(rec)
             completed += len(chunk)
             sink.flush()
             os.fsync(sink.fileno())
             _write_checkpoint(ckpt, n, completed, nbytes, hasher.hexdigest())
-    finally:
-        sink.close()
 
     os.replace(partial, out)
-    report = _make_report(n, total, counts, t0)
+    report = _make_report(n, counts, t0)
     _atomic_write(out + ".summary.json", json.dumps(asdict(report)).encode())
     return report
 
 
-def _make_report(n: int, total: int, counts: _Counts, t0: float) -> SurveyReport:
+def _make_report(n: int, counts: _Counts, t0: float) -> SurveyReport:
     return SurveyReport(
         n=n,
-        total=total,
+        total=factorial(n),
         count_separable=counts.separable,
         count_rank_symmetric=counts.symmetric,
         count_symmetric_cyclotomic=counts.symmetric_cyclotomic,
@@ -295,43 +271,61 @@ def _make_report(n: int, total: int, counts: _Counts, t0: float) -> SurveyReport
     )
 
 
-def _load_checkpoint(ckpt: str, out: str, partial: str, n: int):
+def _load_checkpoint(ckpt: str, out: str, partial: str, n: int, counts: _Counts):
+    """Validate the checkpoint and the prefix of the data file it names,
+    count that prefix's rows into counts, and return the record count,
+    the prefix length and a SHA-256 that has taken in the prefix.  Reads
+    no byte of the data file past the prefix."""
     try:
         with open(ckpt, "rb") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {ckpt}: {exc}") from exc
-    for key in ("n", "completed", "bytes", "sha256"):
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {ckpt} is not a JSON object")
+    for key, kind in (("n", int), ("completed", int), ("bytes", int), ("sha256", str)):
         if key not in meta:
             raise CheckpointError(f"checkpoint {ckpt} is missing {key!r}")
+        if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
+            raise CheckpointError(f"checkpoint {ckpt} has a malformed {key!r}: {meta[key]!r}")
     if meta["n"] != n:
         raise CheckpointError(
             f"checkpoint {ckpt} was written by a different scan (n={meta['n']})"
         )
+    completed, nbytes, total = meta["completed"], meta["bytes"], factorial(n)
+    if not 0 <= completed <= total:
+        raise CheckpointError(f"checkpoint {ckpt} claims {completed} of {total} records")
+    if nbytes < len(CSV_HEADER):
+        raise CheckpointError(f"checkpoint {ckpt} claims {nbytes} bytes, less than the header")
     stream = partial if os.path.exists(partial) else out
     if not os.path.exists(stream):
         raise CheckpointError(f"checkpoint {ckpt} has no data file alongside it")
-    if stream == out and meta["completed"] != factorial(n):
+    if stream == out and completed != total:
         raise CheckpointError(f"checkpoint {ckpt} is incomplete but {partial} is gone")
     with open(stream, "rb") as fh:
-        data = fh.read()
-    if len(data) < meta["bytes"]:
+        prefix = fh.read(nbytes)
+    if len(prefix) < nbytes:
         raise CheckpointError(
-            f"{stream} is shorter ({len(data)} bytes) than its checkpoint claims "
-            f"({meta['bytes']} bytes)"
+            f"{stream} is shorter ({len(prefix)} bytes) than its checkpoint claims "
+            f"({nbytes} bytes)"
         )
-    prefix = data[: meta["bytes"]]
-    if sha256(prefix).hexdigest() != meta["sha256"]:
+    hasher = sha256(prefix)
+    if hasher.hexdigest() != meta["sha256"]:
         raise CheckpointError(f"{stream} does not match the checkpoint hash in {ckpt}")
     lines = prefix.decode().splitlines()
     if not lines or lines[0] != CSV_HEADER.strip():
         raise CheckpointError(f"{stream} does not start with the survey header")
-    if len(lines) - 1 != meta["completed"]:
+    if len(lines) - 1 != completed:
         raise CheckpointError(
             f"{stream} holds {len(lines) - 1} records but the checkpoint "
-            f"claims {meta['completed']}"
+            f"claims {completed}"
         )
-    return meta["completed"], prefix
+    for line in islice(lines, 1, None):
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise CheckpointError(f"malformed survey row: {line!r}")
+        counts.add([field == "true" for field in fields])
+    return completed, nbytes, hasher
 
 
 def _iter_chunk_results(n: int, workers: int, start: int):

@@ -2,6 +2,7 @@
 oracle: an antichain's extensions are the whole symmetric group, so its
 generating function must equal the q-factorial."""
 
+import random
 from itertools import combinations, islice, product
 from math import comb, factorial
 
@@ -190,6 +191,35 @@ def test_le_gf_same_with_the_shared_table_cold_and_warm(monkeypatch):
         cold.append(le_gf(p))
     assert [le_gf(p) for p in ps] == cold
     assert len(poset._shared_le) > 1000
+
+
+def test_shared_table_stays_bounded_on_other_posets(monkeypatch):
+    # Inversion posets fill at most 2! + ... + 7! entries; other posets
+    # empty the table once it holds more than the bound, so it never
+    # exceeds the bound plus what one call adds (its order filters).
+    assert poset._SHARED_BOUND == sum(factorial(k) for k in range(2, 8)) == 5912
+    monkeypatch.setattr(poset, "_SHARED_BOUND", 100)
+    monkeypatch.setattr(poset, "_shared_le", {})
+    words = {inversion_poset(pi) for pi in all_permutations(6)}
+    rng = random.Random(5)
+    ps: list[Poset] = []
+    while len(ps) < 200:
+        order = rng.sample(range(1, 7), 6)
+        pairs = [tuple(rng.sample(range(1, 7), 2)) for _ in range(5)]
+        p = Poset(6, [(a, b) for a, b in pairs if order.index(a) < order.index(b)])
+        if p not in words and p not in ps:
+            ps.append(p)
+    warm, sizes = [], []
+    for p in ps:
+        warm.append(le_gf(p))
+        sizes.append(len(poset._shared_le))
+        assert sizes[-1] <= 100 + 2**6
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was emptied
+    cold = []
+    for p in ps:
+        poset._shared_le.clear()
+        cold.append(le_gf(p))
+    assert warm == cold
 
 
 def test_descent_gf_antichain_is_eulerian():

@@ -192,6 +192,40 @@ def test_resume_on_completed_run_short_circuits(tmp_path):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("renamed", [False, True])
+def test_resume_of_a_finished_run_drops_stray_bytes(tmp_path, renamed):
+    # a finished run cut off before (renamed=False) or after its rename,
+    # with bytes past the checkpointed prefix
+    clean = tmp_path / "clean.csv"
+    scan(5, out=str(clean), workers=1)
+    summary = (tmp_path / "clean.csv.summary.json").read_text()
+
+    out = tmp_path / "s5.csv"
+    data = tmp_path / ("s5.csv" if renamed else "s5.csv.partial")
+    data.write_bytes(clean.read_bytes() + b"stray\nrow\n")
+    (tmp_path / "s5.csv.ckpt").write_bytes((tmp_path / "clean.csv.ckpt").read_bytes())
+
+    report = scan(5, out=str(out), resume=True, workers=1)
+    assert report.total == 120
+    assert out.read_bytes() == clean.read_bytes()
+    assert not (tmp_path / "s5.csv.partial").exists()
+    fields = json.loads((tmp_path / "s5.csv.summary.json").read_text())
+    assert {**fields, "wall_time": 0} == {**json.loads(summary), "wall_time": 0}
+
+
+def test_resume_after_interrupt_drops_stray_bytes(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.csv"
+    scan(5, out=str(clean), workers=1)
+
+    out = tmp_path / "s5.csv"
+    _interrupted_scan(out, monkeypatch)
+    with open(tmp_path / "s5.csv.partial", "ab") as fh:
+        fh.write(b"54321,tr")
+
+    scan(5, out=str(out), resume=True, workers=1)
+    assert out.read_bytes() == clean.read_bytes()
+
+
 def test_resume_rejects_tampered_stream(tmp_path, monkeypatch):
     out = tmp_path / "s5.csv"
     _interrupted_scan(out, monkeypatch)
@@ -210,6 +244,39 @@ def test_resume_rejects_mismatched_parameters(tmp_path):
         scan(5, out=str(out), resume=True)
 
 
+@pytest.mark.parametrize(
+    "meta, reason",
+    [
+        ('"n completed bytes sha256"', "not a JSON object"),
+        ("[24, 4]", "not a JSON object"),
+        ('{"n": 4, "completed": 24, "bytes": "976", "sha256": "%s"}', "malformed 'bytes'"),
+        ('{"n": 4, "completed": 24.0, "bytes": 976, "sha256": "%s"}', "malformed 'completed'"),
+        ('{"n": 4, "completed": true, "bytes": 976, "sha256": "%s"}', "malformed 'completed'"),
+        ('{"n": true, "completed": 24, "bytes": 976, "sha256": "%s"}', "malformed 'n'"),
+        ('{"n": 4, "completed": 24, "bytes": 976, "sha256": 5}', "malformed 'sha256'"),
+        ('{"n": 4, "completed": 25, "bytes": 976, "sha256": "%s"}', "claims 25 of 24"),
+        ('{"n": 4, "completed": -1, "bytes": 976, "sha256": "%s"}', "claims -1 of 24"),
+        ('{"n": 4, "completed": 0, "bytes": 10, "sha256": "%s"}', "less than the header"),
+        (b"\xff\xfe", "unreadable"),
+    ],
+    ids=["string", "list", "bytes-str", "completed-float", "completed-bool", "n-bool",
+         "sha256-int", "completed-high", "completed-negative", "bytes-short", "not-utf8"],
+)
+def test_resume_rejects_malformed_checkpoint_fields(tmp_path, capsys, meta, reason):
+    from weakbruhat.cli import main
+
+    out = tmp_path / "s4.csv"
+    scan(4, out=str(out))
+    ckpt = tmp_path / "s4.csv.ckpt"
+    if isinstance(meta, str):
+        meta = meta.replace("%s", json.loads(ckpt.read_text())["sha256"]).encode()
+    ckpt.write_bytes(meta)
+    assert main(["survey", "--n", "4", "--out", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_scan_guards():
     with pytest.raises(GuardExceeded, match="force"):
         scan(9)
@@ -221,27 +288,29 @@ def test_scan_guards():
 
 def test_predicate_cache_keeps_sizes_apart():
     # [5] divides [5]! but not [4]!; a shared cache entry must not leak
-    from weakbruhat.qpoly import IntPoly
-
-    gf = IntPoly((1, 1, 1, 1, 1))
-    assert survey._predicates(gf, 4)[3] is False
-    assert survey._predicates(gf, 5)[3] is True
+    survey._predicates.cache_clear()
+    coeffs = (1, 1, 1, 1, 1)
+    assert survey._predicates(coeffs, 4)[3] is False
+    assert survey._predicates(coeffs, 5)[3] is True
+    assert survey._predicates.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_divisibility_runs_only_on_cyclotomic_products(n, monkeypatch):
+def test_divisibility_runs_only_on_cyclotomic_products(n):
     # the shortcut against dividing [n]! by every distinct gf of S_n
     from weakbruhat.errors import NonzeroRemainder
     from weakbruhat.qpoly import is_cyclotomic_product, q_factorial
 
-    monkeypatch.setattr(survey, "_pred_cache", {})
-    for gf in {rec.gf_below for rec in iter_records(n)}:
+    survey._predicates.cache_clear()
+    gfs = {rec.gf_below for rec in iter_records(n)}
+    assert survey._predicates.cache_info().currsize == len(gfs)
+    for gf in gfs:
         try:
             q_factorial(n).exact_div(gf)
             div = True
         except NonzeroRemainder:
             div = False
-        assert survey._predicates(gf, n)[2:] == (is_cyclotomic_product(gf), div), gf
+        assert survey._predicates(gf.coeffs, n)[2:] == (is_cyclotomic_product(gf), div), gf
 
 
 def test_shared_le_table_keeps_only_small_posets(monkeypatch, capsys):

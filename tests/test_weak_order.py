@@ -9,9 +9,7 @@ import pytest
 from weakbruhat.errors import GuardExceeded, IncomparableEndpoints
 from weakbruhat.perm import (
     Permutation,
-    adjacent_transposition,
     all_permutations,
-    compose,
     identity,
     leq_weak,
     longest_element,
@@ -68,10 +66,10 @@ def test_reduced_words_replay():
     for pi in all_permutations(4):
         for word in reduced_words(pi):
             assert len(word) == pi.length
-            acc = identity(4)
+            acc = [1, 2, 3, 4]
             for i in word:
-                acc = compose(acc, adjacent_transposition(4, i))
-            assert acc == pi
+                acc[i - 1], acc[i] = acc[i], acc[i - 1]
+            assert Permutation(acc) == pi
 
 
 def test_chains_match_words():

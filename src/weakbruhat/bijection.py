@@ -151,9 +151,3 @@ def invert_phi(pi: Permutation, w: Permutation):
     raise InternalInversionFailure(
         f"no verified preimage of {w} for pi = {pi} (construction gave {u}, {v})"
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

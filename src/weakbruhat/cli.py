@@ -6,6 +6,10 @@ decomposition), interval (weak-order interval data), verify
 (pairing tooling).  Human output is aligned text; --json switches
 every subcommand to JSON.  Exit codes: 0 success, 1 domain error,
 2 usage error.
+
+One evaluator, `_gf`, computes the interval polynomials for `analyze`
+and for `interval`'s summary and --gf.  Only `interval --dot` and
+`interval --json`, which list the elements, enumerate the interval.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .separable import (
 )
 from .survey import _atomic_write, scan
 from .verify import run_suite, suite_names
-from .weak_order import hasse_dot, interval, interval_json, rank_gf
+from .weak_order import hasse_dot, interval, interval_json
 
 
 def _parse_perm(text: str) -> Permutation:
@@ -51,8 +55,8 @@ def _render(args, data: dict, rows: list[tuple[str, str]]) -> str:
     return (json.dumps(data, indent=2) if args.json else _aligned(rows)) + "\n"
 
 
-def _emit(args, data: dict, rows: list[tuple[str, str]]) -> None:
-    print(_render(args, data, rows), end="")
+def _emit(args, data: dict) -> None:
+    print(_render(args, data, _rows(data)), end="")
 
 
 def _output(args, text: str) -> None:
@@ -63,8 +67,18 @@ def _output(args, text: str) -> None:
         print(text, end="")
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _text(value) -> str:
+    """Text form of a --json value: true/false, a comma list (- when
+    empty), or str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ", ".join(str(v) for v in value) or "-"
+    return str(value)
+
+
+def _rows(data: dict) -> list[tuple[str, str]]:
+    return [(key, _text(value)) for key, value in data.items()]
 
 
 def _memory_note(objects: int) -> None:
@@ -73,22 +87,31 @@ def _memory_note(objects: int) -> None:
     print(f"guard override active; memory estimate ~{max(1, round(mb))} MB", file=sys.stderr)
 
 
-def _gf_pair(pi: Permutation, sep: bool, force: bool) -> tuple[IntPoly, IntPoly]:
+def _gf_note(pi: Permutation, force: bool) -> None:
+    # neither route of _gf enumerates S_n; le_gf keeps one entry per
+    # order filter of the inversion poset, and there are at most 2^n
+    if force:
+        _memory_note(2**pi.size)
+
+
+def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
+    """Rank generating function of [id, pi] (side "below") or [pi, w0]
+    ("above"): the block recursion on separable words, linear
+    extensions of the inversion poset on the rest.  [pi, w0] read
+    backwards is [id, pi^c], so the upper side runs on the complement."""
     if sep:
-        return gf_below_recursive(pi), gf_above_recursive(pi)
-    below = le_gf(inversion_poset(pi), force=force)
-    above = le_gf(inversion_poset(pi.complement()), force=force).reverse()
-    return below, above
+        return gf_below_recursive(pi) if side == "below" else gf_above_recursive(pi)
+    if side == "below":
+        return le_gf(inversion_poset(pi), force=force)
+    return le_gf(inversion_poset(pi.complement()), force=force).reverse()
 
 
 def _cmd_analyze(args) -> int:
     pi = _parse_perm(args.perm)
-    if args.force:
-        # neither route enumerates S_n; le_gf keeps one entry per order
-        # filter of the inversion poset, and there are at most 2^n
-        _memory_note(2**pi.size)
+    _gf_note(pi, args.force)
     sep = is_separable(pi)
-    below, above = _gf_pair(pi, sep, args.force)
+    below = _gf(pi, "below", sep, args.force)
+    above = _gf(pi, "above", sep, args.force)
     product = below * above == q_factorial(pi.size)
     data = {
         "word": str(pi),
@@ -102,19 +125,7 @@ def _cmd_analyze(args) -> int:
         "unimodal": below.is_unimodal(),
         "cyclotomic_product": is_cyclotomic_product(below),
     }
-    rows = [
-        ("word", data["word"]),
-        ("length", str(data["length"])),
-        ("descents", ", ".join(str(d) for d in data["descents"]) or "-"),
-        ("separable", _bool(sep)),
-        ("gf_below", data["gf_below"]),
-        ("gf_above", data["gf_above"]),
-        ("product_is_qfactorial", _bool(product)),
-        ("rank_symmetric", _bool(data["rank_symmetric"])),
-        ("unimodal", _bool(data["unimodal"])),
-        ("cyclotomic_product", _bool(data["cyclotomic_product"])),
-    ]
-    _emit(args, data, rows)
+    _emit(args, data)
     return 0
 
 
@@ -142,27 +153,30 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    # only --dot and --json list the elements, so only they enumerate
     pi = _parse_perm(args.perm)
-    if args.force:
-        _memory_note(factorial(pi.size))
     if args.side == "below":
-        iv = interval(identity(pi.size), pi, force=args.force)
+        bottom, top = identity(pi.size), pi
     else:
-        iv = interval(pi, longest_element(pi.size), force=args.force)
-    if args.gf:
-        text = str(rank_gf(iv))
-    elif args.dot:
-        text = hasse_dot(iv)
-    elif args.json:
-        text = json.dumps(interval_json(iv), indent=2)
+        bottom, top = pi, longest_element(pi.size)
+    if args.gf or not (args.dot or args.json):
+        _gf_note(pi, args.force)
+        gf = _gf(pi, args.side, is_separable(pi), args.force)
+        if args.gf:
+            text = str(gf)
+        else:
+            text = _aligned([
+                ("bottom", str(bottom)),
+                ("top", str(top)),
+                ("size", str(sum(gf.coeffs))),
+                ("rank sizes", ", ".join(str(c) for c in gf.coeffs)),
+                ("rank gf", str(gf)),
+            ])
     else:
-        text = _aligned([
-            ("bottom", str(iv.bottom)),
-            ("top", str(iv.top)),
-            ("size", str(iv.size)),
-            ("rank sizes", ", ".join(str(len(r)) for r in iv.ranks)),
-            ("rank gf", str(rank_gf(iv))),
-        ])
+        if args.force:
+            _memory_note(factorial(pi.size))
+        iv = interval(bottom, top, force=args.force)
+        text = hasse_dot(iv) if args.dot else json.dumps(interval_json(iv), indent=2)
     _output(args, text + "\n")
     return 0
 
@@ -195,8 +209,7 @@ def _cmd_survey(args) -> int:
         args.n, out=args.out, resume=args.resume, workers=args.workers, force=args.force
     )
     data = asdict(report)
-    rows = [(key, str(value)) for key, value in data.items()]
-    _emit(args, data, rows)
+    _emit(args, data)
     return 0
 
 
@@ -224,12 +237,7 @@ def _cmd_bijection(args) -> int:
             for w, pairs in report.collisions
         ],
     }
-    rows = [
-        ("word", str(pi)),
-        ("separable", _bool(data["separable"])),
-        ("is_bijection", _bool(report.is_bijection)),
-        ("collisions", str(len(report.collisions))),
-    ]
+    rows = _rows({**data, "collisions": len(report.collisions)})
     _output(args, _render(args, data, rows))
     return 0
 

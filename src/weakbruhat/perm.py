@@ -209,9 +209,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order."""
     for word in permutations(range(1, n + 1)):
         yield Permutation(word)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

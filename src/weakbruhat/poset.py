@@ -393,9 +393,3 @@ def order_polynomial_values(p: Poset, m_max: int, force: bool = False) -> list[i
             "pass force=True (--force) to override"
         )
     return _op_values_ideal_dp(p, m_max)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -312,9 +312,3 @@ def is_cyclotomic_product(p: IntPoly) -> bool:
             if current == ONE:
                 return True
     return current == ONE
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

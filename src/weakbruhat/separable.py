@@ -268,9 +268,3 @@ def tree_dot(root: TreeNode) -> str:
     emit(root)
     lines.append("}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

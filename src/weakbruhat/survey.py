@@ -338,9 +338,3 @@ def _iter_chunk_results(n: int, workers: int, start: int):
     ctx = get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(_scan_chunk, chunks)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -161,9 +161,3 @@ def hasse_dot(iv: Interval) -> str:
                         lines.append(f'  "{p}" -> "{c}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -13,6 +13,7 @@ generating-function routes agree on the witnesses, and a witness value
 of 13 at q = 1 cannot be realized by cyclotomic factors within degree 6.
 """
 
+import hashlib
 import json
 import time
 from itertools import permutations as iter_perms
@@ -34,6 +35,11 @@ from weakbruhat.separable import (
 from weakbruhat.survey import iter_records, scan, schroder
 from weakbruhat.verify import run_suite
 from weakbruhat.weak_order import interval, rank_gf
+
+
+# the n = 8 survey CSV, byte for byte; any change to a row, a column or
+# the formatting shows here
+SURVEY_N8_SHA256 = "9575599d8ae621b721d15c243bd1443dfdf368c1ba2c58878a0eea6d9a7f51ff"
 
 
 def report(number, name, passed, detail):
@@ -119,6 +125,7 @@ def test_criterion_05_survey_at_8(tmp_path):
     rep = scan(8, out=str(out))
     elapsed = time.perf_counter() - t0
 
+    sha = hashlib.sha256(out.read_bytes()).hexdigest()
     broken_divisibility = []
     with open(out) as handle:
         next(handle)
@@ -132,6 +139,7 @@ def test_criterion_05_survey_at_8(tmp_path):
         and rep.count_rank_symmetric == 10728
         and rep.count_symmetric_nondividing == 961
         and not broken_divisibility
+        and sha == SURVEY_N8_SHA256
         and elapsed < 1800
     )
     report(
@@ -139,7 +147,7 @@ def test_criterion_05_survey_at_8(tmp_path):
         "size-8 survey",
         ok,
         f"8558 separable / 10728 rank-symmetric / 961 symmetric non-dividing, "
-        f"every separable gf divides [8]!, {elapsed:.1f}s",
+        f"every separable gf divides [8]!, CSV sha256 {sha[:8]}, {elapsed:.1f}s",
     )
 
 

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from weakbruhat import cli
 from weakbruhat.cli import main
+from weakbruhat.perm import all_permutations, identity, longest_element
+from weakbruhat.weak_order import interval, rank_gf
 
 
 def run(capsys, *argv):
@@ -122,6 +125,84 @@ def test_interval_summary_and_dot(capsys):
     code, dot, _ = run(capsys, "interval", "321", "--side", "below", "--dot")
     assert code == 0
     assert dot.count("->") == 6
+
+
+def _bfs_summary(iv):
+    # the summary layout, read off the enumerated interval
+    rows = [
+        ("bottom", str(iv.bottom)),
+        ("top", str(iv.top)),
+        ("size", str(iv.size)),
+        ("rank sizes", ", ".join(str(len(r)) for r in iv.ranks)),
+        ("rank gf", str(rank_gf(iv))),
+    ]
+    return "".join(f"{key.ljust(10)}  {value}\n" for key, value in rows)
+
+
+@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
+def test_interval_summary_and_gf_match_bfs(capsys, n):
+    for pi in all_permutations(n):
+        for side in ("below", "above"):
+            if side == "below":
+                iv = interval(identity(n), pi)
+            else:
+                iv = interval(pi, longest_element(n))
+            code, out, _ = run(capsys, "interval", str(pi), "--side", side)
+            assert (code, out) == (0, _bfs_summary(iv)), (pi, side)
+            code, out, _ = run(capsys, "interval", str(pi), "--side", side, "--gf")
+            assert (code, out) == (0, f"{rank_gf(iv)}\n"), (pi, side)
+
+
+def test_interval_summary_and_gf_enumerate_nothing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval enumerated")
+
+    monkeypatch.setattr(cli, "interval", refuse)
+    for word in ("4132", "2413", "35142"):
+        for side in ("below", "above"):
+            code, out, _ = run(capsys, "interval", word, "--side", side)
+            assert code == 0 and "rank gf" in out
+            code, out, _ = run(capsys, "interval", word, "--side", side, "--gf")
+            assert code == 0 and out.startswith("1")
+    with pytest.raises(AssertionError, match="interval enumerated"):
+        main(["interval", "4132", "--dot"])
+
+
+def test_interval_past_the_bfs_guard(capsys):
+    word = "10,9,8,7,6,5,4,3,2,1,11"
+    _, data, _ = run_json(capsys, "analyze", word)
+    for side in ("below", "above"):
+        want = data[f"gf_{side}"]
+        code, out, _ = run(capsys, "interval", word, "--side", side, "--gf")
+        assert (code, out) == (0, want + "\n")
+        code, out, _ = run(capsys, "interval", word, "--side", side)
+        assert code == 0
+        rows = dict(line.split("  ", 1) for line in out.splitlines())
+        assert rows["rank gf"].strip() == want
+        coeffs = [int(c) for c in rows["rank sizes"].strip().split(", ")]
+        assert int(rows["size"]) == sum(coeffs)
+    # --dot and --json list the elements, so they still enumerate
+    for flag in ("--dot", "--json"):
+        code, out, err = run(capsys, "interval", word, flag)
+        assert code == 1 and out == ""
+        assert "--force" in err
+
+
+def test_interval_non_separable_past_the_guard(capsys):
+    word = "2,4,1,3,5,6,7,8,9,10,11"
+    for extra in ((), ("--gf",)):
+        for side in ("below", "above"):
+            code, out, err = run(capsys, "interval", word, "--side", side, *extra)
+            assert code == 1 and out == ""
+            assert "error:" in err and "--force" in err
+
+
+def test_force_memory_note_on_interval_gf_counts_order_ideals(capsys):
+    word = ",".join(str(a) for a in (1, 3, 2, *range(4, 21)))
+    code, out, err = run(capsys, "--force", "interval", word, "--gf")
+    assert code == 0 and out.startswith("1 + q")
+    mb = int(err.split("~")[1].split()[0])
+    assert mb * 1e6 <= 2**20 * 150
 
 
 def test_verify_single_suite(capsys):

@@ -2,6 +2,7 @@
 one worker path with and without an output file, and the
 checkpoint/resume contract (interrupted runs finish byte-identical)."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -17,6 +18,9 @@ from weakbruhat.survey import (
     schroder,
 )
 from weakbruhat.weak_order import interval, rank_gf
+
+# the n = 5 survey CSV, byte for byte, at one worker and through the pool
+SURVEY_N5_SHA256 = "dd00fa487285ccacdf5f39254ca7943ab69c08b42cc8d256c9674a385a4981f2"
 
 
 def test_schroder_values():
@@ -174,6 +178,8 @@ def test_parallel_output_matches_serial(tmp_path, monkeypatch):
     report = scan(5, out=str(pooled), workers=2)
     assert report.total == 120
     assert pooled.read_bytes() == serial.read_bytes()
+    for path in (serial, pooled):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SURVEY_N5_SHA256
 
 
 def test_resume_without_checkpoint_runs_fresh(tmp_path):

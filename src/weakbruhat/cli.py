@@ -4,8 +4,8 @@ Subcommands: analyze (per-permutation report), tree (block
 decomposition), interval (weak-order interval data), verify
 (exhaustive identity suites), survey (full S_n scans), bijection
 (pairing tooling).  Human output is aligned text; --json switches
-every subcommand to JSON.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+every subcommand to JSON.  Exit codes: 0 success, 1 domain or I/O
+error, 2 usage error.
 
 One evaluator, `_gf`, computes the interval polynomials for `analyze`
 and for `interval`'s summary and --gf.  Only `interval --dot` and
@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from math import factorial
 
 from .bijection import build_pair_table, check_bijection, invert_phi
@@ -242,10 +243,12 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
-    # --json/--force are accepted before or after the subcommand; the
-    # SUPPRESS defaults keep the subparser from clobbering a value the
-    # top-level parse already set
+    # Built on the first call and reused: each parse fills a fresh
+    # namespace.  --json/--force are accepted before or after the
+    # subcommand; the SUPPRESS defaults keep the subparser from
+    # clobbering a value the top-level parse already set.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json",
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NonzeroRemainder, InternalInversionFailure) as exc:
+    except (ValueError, NonzeroRemainder, InternalInversionFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

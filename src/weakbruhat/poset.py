@@ -8,7 +8,11 @@ polynomial values.
 
 The strict order relation is stored transitively closed, one bitmask
 per element (bit b - 1 of mask a - 1 set when a < b), so comparisons
-are O(1) and the extension walks are cheap.
+are O(1) and the extension walks are cheap.  Nothing else is stored,
+and every walk uses one minimality test: an element of a set is minimal
+when it lies in no successor mask of the set's elements.  `_le_packed`,
+the survey's hot path, and `_extension_words` walk the set bits inline,
+as the `_bits` generator is slower there.
 
 `le_gf` deletes one minimal element at a time (Bjorner-Wachs, "Permutation
 statistics and linear extensions of posets", 1991).  Deleting the
@@ -53,20 +57,13 @@ class Poset:
             if a == b:
                 raise ValueError(f"reflexive relation ({a}, {b})")
             gt[a - 1] |= 1 << (b - 1)
-        # transitive closure by fixpoint
-        changed = True
-        while changed:
-            changed = False
+        # transitive closure, one Warshall pass: each element below k
+        # is also below everything above k
+        for k in range(n):
+            bit, up = 1 << k, gt[k]
             for i in range(n):
-                acc = gt[i]
-                t = acc
-                while t:
-                    b = t & -t
-                    t ^= b
-                    acc |= gt[b.bit_length() - 1]
-                if acc != gt[i]:
-                    gt[i] = acc
-                    changed = True
+                if gt[i] & bit:
+                    gt[i] |= up
         for i in range(n):
             if gt[i] >> i & 1:
                 raise ValueError("relations contain a cycle")
@@ -91,21 +88,14 @@ class Poset:
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse diagram edges (a, b) with a covered by b."""
+        gt = self._gt
         out = []
-        for i, above in enumerate(self._gt):
+        for i, above in enumerate(gt):
             via = 0
-            t = above
-            while t:
-                b = t & -t
-                t ^= b
-                via |= self._gt[b.bit_length() - 1]
-            direct = above & ~via
-            t = direct
-            while t:
-                b = t & -t
-                t ^= b
-                out.append((i + 1, b.bit_length()))
-        return tuple(sorted(out))
+            for j in _bits(above):
+                via |= gt[j]
+            out.extend((i + 1, j + 1) for j in _bits(above & ~via))
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poset) and self._gt == other._gt
@@ -118,25 +108,15 @@ class Poset:
 
     def relations(self) -> tuple[tuple[int, int], ...]:
         """All strict relations (a, b), transitively closed."""
-        out = []
-        for i, above in enumerate(self._gt):
-            t = above
-            while t:
-                b = t & -t
-                t ^= b
-                out.append((i + 1, b.bit_length()))
-        return tuple(sorted(out))
+        return tuple((i + 1, j + 1) for i, above in enumerate(self._gt) for j in _bits(above))
 
-    def _pred_masks(self) -> list[int]:
-        n = self.size
-        preds = [0] * n
-        for i, above in enumerate(self._gt):
-            t = above
-            while t:
-                b = t & -t
-                t ^= b
-                preds[b.bit_length() - 1] |= 1 << i
-        return preds
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def inversion_poset(pi: Permutation) -> Poset:
@@ -184,27 +164,29 @@ def _check_size(p: Poset, force: bool, limit: int = SIZE_GUARD) -> None:
 def _extension_words(p: Poset) -> Iterator[tuple[int, ...]]:
     """Backtracking enumeration, candidates tried in ascending value
     order so the output stream is lexicographically sorted."""
-    n = p.size
-    preds = p._pred_masks()
-    full = (1 << n) - 1
+    gt = p._gt
     word: list[int] = []
 
-    def walk(placed: int) -> Iterator[tuple[int, ...]]:
-        if placed == full:
+    def walk(rem: int) -> Iterator[tuple[int, ...]]:
+        # rem is the unplaced set; its minimal elements lie above none of it
+        if not rem:
             yield tuple(word)
             return
-        rem = full & ~placed
+        above = 0
         t = rem
         while t:
             b = t & -t
             t ^= b
-            e = b.bit_length() - 1
-            if preds[e] & placed == preds[e]:
-                word.append(e + 1)
-                yield from walk(placed | b)
-                word.pop()
+            above |= gt[b.bit_length() - 1]
+        t = rem & ~above
+        while t:
+            b = t & -t
+            t ^= b
+            word.append(b.bit_length())
+            yield from walk(rem ^ b)
+            word.pop()
 
-    return walk(0)
+    return walk((1 << p.size) - 1)
 
 
 def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
@@ -241,6 +223,8 @@ def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> in
     # the minimal element e first inverts it with the e-1 smaller
     # elements still unplaced.  A minimal element has no bit in any
     # mask, so dropping bit i shifts the higher bits down by one.
+    # The survey spends most of its time here, so the set bits are
+    # walked inline, not through the _bits generator.
     n = len(gt)
     if n < 2:
         return 1
@@ -309,21 +293,16 @@ def descent_gf(p: Poset, force: bool = False) -> IntPoly:
 
 
 def _ideal_masks(p: Poset) -> list[int]:
-    n = p.size
-    preds = p._pred_masks()
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        t = mask
-        while t:
-            b = t & -t
-            t ^= b
-            if preds[b.bit_length() - 1] & mask != preds[b.bit_length() - 1]:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
+    # A down-set: nothing outside it lies below anything inside it.
+    # above[s], everything above some element of s, is built from s
+    # with its lowest bit cleared, so each subset costs one OR.
+    gt = p._gt
+    full = (1 << p.size) - 1
+    above = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        above[s] = above[s ^ low] | gt[low.bit_length() - 1]
+    return [mask for mask in range(full + 1) if not above[full ^ mask] & mask]
 
 
 def _op_values_bruteforce(p: Poset, m_max: int) -> list[int]:

@@ -188,21 +188,16 @@ def suite_chains_words(n_max: int, force: bool = False) -> SuiteResult:
 def _all_posets(k: int) -> list[Poset]:
     """Every partial order on {1..k}, by brute force over relation sets."""
     pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1) if a != b]
-    seen: set[frozenset] = set()
-    out = []
+    out: dict[Poset, None] = {}  # a Poset hashes on its closed masks
     for r in range(len(pairs) + 1):
         for chosen in combinations(pairs, r):
             if any((b, a) in chosen for a, b in chosen):
                 continue
             try:
-                p = Poset(k, chosen)
+                out.setdefault(Poset(k, chosen))
             except ValueError:
                 continue
-            key = frozenset(p.relations())
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-    return out
+    return list(out)
 
 
 # partial orders on k labelled points, k = 1, 2, ... (OEIS A001035)

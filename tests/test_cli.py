@@ -296,6 +296,52 @@ def test_out_file_equals_stdout(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "4132", "--out"),
+        ("survey", "--n", "3", "--out"),
+        ("bijection", "312", "--table", "--out"),
+    ],
+)
+def test_unwritable_out_is_an_error_exit_1(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_built_once_per_process(capsys):
+    # the flags before and after the subcommand, set and unset, in one
+    # process: no call may see a value another call parsed
+    calls = [
+        ("analyze", "4132"),
+        ("--json", "analyze", "4132"),
+        ("analyze", "4132", "--json"),
+        ("analyze", "4132"),
+        ("--force", "interval", "4132", "--gf"),
+        ("interval", "4132", "--gf", "--force"),
+        ("interval", "4132", "--gf"),
+        ("--json", "--force", "tree", "4132"),
+        ("tree", "4132"),
+        ("analyze", "0"),
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    together = [run(capsys, *argv) for argv in calls]
+    assert together == alone
+    assert cli._parser.cache_info().misses == 1
+    assert {code for code, _, _ in alone} == {0, 2}
+    assert alone[1][1] == alone[2][1] != alone[0][1] == alone[3][1]
+    assert "MB" in alone[4][2] and alone[6][2] == ""
+
+
 def test_parse_errors_exit_2(capsys):
     for bad in ("125", "0", "abc", "1,2,2"):
         code, out, err = run(capsys, "analyze", bad)

@@ -3,7 +3,7 @@ oracle: an antichain's extensions are the whole symmetric group, so its
 generating function must equal the q-factorial."""
 
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -15,6 +15,7 @@ from weakbruhat.errors import GuardExceeded
 from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.poset import (
     Poset,
+    _ideal_masks,
     _op_values_bruteforce,
     _pack_width,
     descent_gf,
@@ -43,6 +44,14 @@ def test_construction_and_closure():
     assert p.less(1, 3)  # transitive closure inferred
     assert p.covers() == ((1, 2), (2, 3))
     assert p.relations() == ((1, 2), (1, 3), (2, 3))
+    # chains given last pair first, in both label orders: the closure
+    # must reach across the whole chain
+    up = Poset(6, [(i, i + 1) for i in range(5, 0, -1)])
+    assert up.relations() == tuple((a, b) for a in range(1, 7) for b in range(a + 1, 7))
+    assert up.covers() == tuple((i, i + 1) for i in range(1, 6))
+    down = Poset(6, [(i + 1, i) for i in range(1, 6)])
+    assert down.relations() == tuple((a, b) for a in range(1, 7) for b in range(1, a))
+    assert down.covers() == tuple((i + 1, i) for i in range(1, 6))
 
 
 @pytest.mark.parametrize(
@@ -240,9 +249,32 @@ def test_order_polynomial_known_values(n):
 
 
 def test_order_polynomial_routes_agree():
-    for pi in all_permutations(4):
-        p = inversion_poset(pi)
-        assert _op_values_bruteforce(p, 6) == order_polynomial_values(p, 6)
+    # every poset on at most 4 points, most of whose labels are not a
+    # linear extension, beside the inversion posets of S_4
+    ps = [p for k in range(1, 5) for p in _all_posets(k)]
+    ps += [inversion_poset(pi) for pi in all_permutations(4)]
+    for p in ps:
+        m = p.size + 2
+        assert _op_values_bruteforce(p, m) == order_polynomial_values(p, m), p
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_extensions_and_down_sets_of_every_small_poset(k):
+    # read straight off the relation list, for all 1 + 3 + 19 + 219 posets
+    for p in _all_posets(k):
+        rels = p.relations()
+        want = [
+            w
+            for w in permutations(range(1, k + 1))
+            if all(w.index(a) < w.index(b) for a, b in rels)
+        ]
+        assert [e.word for e in linear_extensions(p)] == want, p
+        down = [
+            mask
+            for mask in range(1 << k)
+            if all(mask >> (a - 1) & 1 for a, b in rels if mask >> (b - 1) & 1)
+        ]
+        assert _ideal_masks(p) == down, p
 
 
 def literal_op_values(p, m_max):

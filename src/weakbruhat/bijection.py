@@ -3,16 +3,22 @@ a permutation and the whole symmetric group.
 
 For separable pi the map from {u <= pi} x {v >= pi} is a bijection onto
 S_n.  check_bijection verifies that extensionally from the actual
-intervals; invert_phi reconstructs the unique preimage of a target w by
-recursion over pi's block structure, verifying its answer and raising
-InternalInversionFailure if the check fails, since the construction is
-easy to get subtly wrong.
+intervals.  The intervals are kept as words and the images are formed
+as words, one position table per u and one itemgetter per v, so the
+check builds no Permutation per pair; Permutation objects are built
+only for PairTable.entries, PairTable.to_csv and the collisions of a
+failed check.  invert_phi reconstructs the unique preimage of a target
+w by recursion over pi's block structure, verifying its answer and
+raising InternalInversionFailure if the check fails, since the
+construction is easy to get subtly wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
+from operator import itemgetter
 
 from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element
@@ -31,19 +37,56 @@ def phi(u: Permutation, v: Permutation) -> Permutation:
     return compose(u.inverse(), v)
 
 
+def _position_table(u: tuple[int, ...]) -> list[int]:
+    """inv[a] is the position of letter a in u, counted from 1."""
+    inv = [0] * (len(u) + 1)
+    for i, a in enumerate(u, start=1):
+        inv[a] = i
+    return inv
+
+
+def _image_getter(v: tuple[int, ...]):
+    """Maps the position table of u to the word of phi(u, v)."""
+    if len(v) == 1:
+        # itemgetter with one index returns the item, not a 1-tuple
+        return lambda inv: (inv[v[0]],)
+    return itemgetter(*v)
+
+
+def _csv_field(word: tuple[int, ...]) -> str:
+    """A word as a CSV field.  Words of 10 or more letters print with
+    commas, so those are quoted (RFC 4180); digits need no escaping."""
+    text = str(_trusted(word))
+    return f'"{text}"' if "," in text else text
+
+
 @dataclass(frozen=True)
 class PairTable:
+    """The pairs (u, v) with u <= pi <= v.  below and above hold the
+    words of the two intervals in interval order (by rank, then word);
+    the pairs run u-major over them.  Permutation objects are built only
+    by entries and to_csv."""
+
     pi: Permutation
-    entries: dict
+    below: tuple[tuple[int, ...], ...]
+    above: tuple[tuple[int, ...], ...]
+
+    def images(self) -> list[tuple[int, ...]]:
+        """The word of phi(u, v) for every pair, in pair order."""
+        getters = [_image_getter(v) for v in self.above]
+        return [g(inv) for inv in map(_position_table, self.below) for g in getters]
+
+    @property
+    def entries(self) -> dict:
+        """{(u, v): phi(u, v)} as Permutations, in pair order."""
+        pairs = product(map(_trusted, self.below), map(_trusted, self.above))
+        return dict(zip(pairs, map(_trusted, self.images())))
 
     def to_csv(self) -> str:
         """Rows (u, v, w) sorted by w, then u."""
         lines = ["u,v,w"]
-        items = sorted(
-            self.entries.items(), key=lambda item: (item[1].word, item[0][0].word)
-        )
-        for (u, v), w in items:
-            lines.append(f"{u},{v},{w}")
+        for w, (u, v) in sorted(zip(self.images(), product(self.below, self.above))):
+            lines.append(",".join(map(_csv_field, (u, v, w))))
         return "\n".join(lines) + "\n"
 
 
@@ -54,23 +97,15 @@ class BijectionReport:
 
 
 def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
-    """Every (u, v) with u <= pi <= v, mapped through phi."""
+    """Every (u, v) with u <= pi <= v, with the intervals kept as words."""
     if pi.size > PAIR_TABLE_GUARD and not force:
         raise GuardExceeded(
             f"pair table guarded at n <= {PAIR_TABLE_GUARD} (got {pi.size}); "
             "pass force=True (--force) to override"
         )
-    below = list(interval(identity(pi.size), pi, force=force).elements())
-    above = list(interval(pi, longest_element(pi.size), force=force).elements())
-    # phi(u, v) = inverse(u) v, with the inverse table built once per u
-    entries = {}
-    for u in below:
-        inv = [0] * (pi.size + 1)
-        for i, a in enumerate(u.word, start=1):
-            inv[a] = i
-        for v in above:
-            entries[(u, v)] = _trusted(tuple(map(inv.__getitem__, v.word)))
-    return PairTable(pi, entries)
+    below = interval(identity(pi.size), pi, force=force).elements()
+    above = interval(pi, longest_element(pi.size), force=force).elements()
+    return PairTable(pi, tuple(u.word for u in below), tuple(v.word for v in above))
 
 
 def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
@@ -83,15 +118,15 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     False
     """
     table = build_pair_table(pi, force=force)
-    images = {w.word for w in table.entries.values()}
-    if len(images) == len(table.entries) == factorial(pi.size):
+    images = table.images()
+    if len(set(images)) == len(images) == factorial(pi.size):
         return BijectionReport(is_bijection=True, collisions=())
     by_image: dict[tuple[int, ...], list] = {}
-    for (u, v), w in table.entries.items():
-        by_image.setdefault(w.word, []).append((u, v))
+    for w, pair in zip(images, product(table.below, table.above)):
+        by_image.setdefault(w, []).append(pair)
     collisions = tuple(
-        (Permutation(word), tuple(sorted(pairs, key=lambda p: (p[0].word, p[1].word))))
-        for word, pairs in sorted(by_image.items())
+        (_trusted(w), tuple((_trusted(u), _trusted(v)) for u, v in sorted(pairs)))
+        for w, pairs in sorted(by_image.items())
         if len(pairs) > 1
     )
     return BijectionReport(is_bijection=False, collisions=collisions)

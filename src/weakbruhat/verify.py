@@ -321,11 +321,13 @@ def suite_bijection(n_max: int, force: bool = False) -> SuiteResult:
         perms = list(all_permutations(n))
         for pi in perms:
             sep = is_separable(pi)
-            if sep:
-                pairing.check(check_bijection(pi, force=force).is_bijection, pi)
-            if n == 4:
-                # the bijection must hold exactly on the separable words
-                exact4.check(check_bijection(pi).is_bijection == sep, pi)
+            if sep or n == 4:
+                holds = check_bijection(pi, force=force).is_bijection
+                if sep:
+                    pairing.check(holds, pi)
+                if n == 4:
+                    # the bijection must hold exactly on the separable words
+                    exact4.check(holds == sep, pi)
             if sep and n <= _BRUTE_N:
                 for w in perms:
                     try:

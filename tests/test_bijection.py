@@ -1,17 +1,23 @@
-"""The pairing (u, v) -> v^{-1} u on the intervals around a word.
+"""The pairing (u, v) -> u^{-1} v on the intervals around a word.
 
 For separable words this hits every permutation exactly once; the two
 smallest non-separable words break it, and those are the only failures
 at size 4."""
+
+import csv
+import io
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_separable import separable_word
 
-from weakbruhat import bijection
+from weakbruhat import bijection, perm, weak_order
 from weakbruhat.bijection import (
     PAIR_TABLE_GUARD,
+    BijectionReport,
+    PairTable,
     build_pair_table,
     check_bijection,
     invert_phi,
@@ -25,9 +31,18 @@ from weakbruhat.perm import (
     identity,
     leq_weak,
     longest_element,
+    parse_permutation,
 )
 from weakbruhat.separable import is_separable
 from weakbruhat.weak_order import interval
+
+
+def _reference_rows(pi):
+    """(u, v, phi(u, v)) for every u <= pi <= v, through Permutation
+    objects, u-major in interval order."""
+    below = list(interval(identity(pi.size), pi).elements())
+    above = list(interval(pi, longest_element(pi.size)).elements())
+    return [(u, v, phi(u, v)) for u in below for v in above]
 
 
 def test_phi_fixtures():
@@ -130,6 +145,67 @@ def test_pair_table_guard():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pair_table_images_equal_phi(n):
     for pi in all_permutations(n):
-        for (u, v), w in build_pair_table(pi).entries.items():
+        rows = _reference_rows(pi)
+        table = build_pair_table(pi)
+        for (u, v), w in table.entries.items():
             assert w == phi(u, v)
             assert w.word == compose(u.inverse(), v).word
+        assert list(table.entries.items()) == [((u, v), w) for u, v, w in rows]
+        rows.sort(key=lambda row: (row[2].word, row[0].word))
+        assert table.to_csv() == "u,v,w\n" + "".join(f"{u},{v},{w}\n" for u, v, w in rows)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_check_bijection_matches_phi_reference(n):
+    for pi in all_permutations(n):
+        rows = _reference_rows(pi)
+        by_image = {}
+        for u, v, w in rows:
+            by_image.setdefault(w.word, []).append((u, v))
+        collisions = tuple(
+            (Permutation(word), tuple(sorted(pairs, key=lambda p: (p[0].word, p[1].word))))
+            for word, pairs in sorted(by_image.items())
+            if len(pairs) > 1
+        )
+        holds = len(by_image) == len(rows) == factorial(n)
+        assert check_bijection(pi) == BijectionReport(holds, collisions)
+
+
+def test_check_bijection_builds_no_permutation_per_pair(monkeypatch):
+    # 4132 (+) 312 is separable, so its 5,040 pairs all get checked
+    pi = Permutation((4, 1, 3, 2, 7, 5, 6))
+    below = interval(identity(7), pi).size
+    above = interval(pi, longest_element(7)).size
+    assert below * above == factorial(7)
+    built = 0
+
+    def counted(make):
+        def wrapper(*args):
+            nonlocal built
+            built += 1
+            return make(*args)
+
+        return wrapper
+
+    for module in (perm, weak_order, bijection):
+        monkeypatch.setattr(module, "_trusted", counted(module._trusted))
+    for module in (weak_order, bijection):
+        monkeypatch.setattr(module, "Permutation", counted(module.Permutation))
+    assert check_bijection(pi).is_bijection
+    assert built <= below + above + 4
+
+
+def test_pair_table_csv_quotes_words_of_ten_letters():
+    e = tuple(range(1, 11))
+    s1 = (2, 1) + e[2:]
+    s1s2 = (2, 3, 1) + e[3:]
+    table = PairTable(Permutation(s1), below=(e, s1), above=(s1, s1s2))
+    text = table.to_csv()
+    # phi(s1, s1) = e sorts first
+    assert text.splitlines()[1] == '"2,1,3,4,5,6,7,8,9,10",' * 2 + '"1,2,3,4,5,6,7,8,9,10"'
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["u", "v", "w"]
+    assert len(rows) == 4
+    for row in rows:
+        u, v, w = map(parse_permutation, row)
+        assert table.entries[(u, v)] == w == phi(u, v)

@@ -6,11 +6,11 @@ S_n.  check_bijection verifies that extensionally from the actual
 intervals.  The intervals are kept as words and the images are formed
 as words, one position table per u and one itemgetter per v, so the
 check builds no Permutation per pair; Permutation objects are built
-only for PairTable.entries, PairTable.to_csv and the collisions of a
-failed check.  invert_phi reconstructs the unique preimage of a target
-w by recursion over pi's block structure, verifying its answer and
-raising InternalInversionFailure if the check fails, since the
-construction is easy to get subtly wrong.
+only for PairTable.entries and the collisions of a failed check.
+invert_phi reconstructs the unique preimage of a target w by recursion
+over pi's block structure, verifying its answer and raising
+InternalInversionFailure if the check fails, since the construction is
+easy to get subtly wrong.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import factorial
 from operator import itemgetter
 
 from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
-from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element
+from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
 from .separable import NEGATIVE, _split, is_separable
 from .weak_order import interval
 
@@ -37,14 +37,6 @@ def phi(u: Permutation, v: Permutation) -> Permutation:
     return compose(u.inverse(), v)
 
 
-def _position_table(u: tuple[int, ...]) -> list[int]:
-    """inv[a] is the position of letter a in u, counted from 1."""
-    inv = [0] * (len(u) + 1)
-    for i, a in enumerate(u, start=1):
-        inv[a] = i
-    return inv
-
-
 def _image_getter(v: tuple[int, ...]):
     """Maps the position table of u to the word of phi(u, v)."""
     if len(v) == 1:
@@ -56,7 +48,7 @@ def _image_getter(v: tuple[int, ...]):
 def _csv_field(word: tuple[int, ...]) -> str:
     """A word as a CSV field.  Words of 10 or more letters print with
     commas, so those are quoted (RFC 4180); digits need no escaping."""
-    text = str(_trusted(word))
+    text = word_text(word)
     return f'"{text}"' if "," in text else text
 
 
@@ -65,7 +57,7 @@ class PairTable:
     """The pairs (u, v) with u <= pi <= v.  below and above hold the
     words of the two intervals in interval order (by rank, then word);
     the pairs run u-major over them.  Permutation objects are built only
-    by entries and to_csv."""
+    by entries."""
 
     pi: Permutation
     below: tuple[tuple[int, ...], ...]
@@ -74,7 +66,7 @@ class PairTable:
     def images(self) -> list[tuple[int, ...]]:
         """The word of phi(u, v) for every pair, in pair order."""
         getters = [_image_getter(v) for v in self.above]
-        return [g(inv) for inv in map(_position_table, self.below) for g in getters]
+        return [g(inv) for inv in map(positions, self.below) for g in getters]
 
     @property
     def entries(self) -> dict:
@@ -105,7 +97,7 @@ def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
         )
     below = interval(identity(pi.size), pi, force=force).elements()
     above = interval(pi, longest_element(pi.size), force=force).elements()
-    return PairTable(pi, tuple(u.word for u in below), tuple(v.word for v in above))
+    return PairTable(pi, tuple(below), tuple(above))
 
 
 def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
@@ -145,10 +137,8 @@ def _construct(p: tuple, w: tuple):
     if sign == NEGATIVE:
         # Complements exchange the two interval roles and flip the
         # split to positive, so solve there and map the answer back.
-        w_inv = [0] * k
-        for i, a in enumerate(w, start=1):
-            w_inv[a - 1] = i
-        u2, v2 = _construct(tuple(k + 1 - a for a in p), tuple(w_inv))
+        w_inv = tuple(positions(w)[1:])
+        u2, v2 = _construct(tuple(k + 1 - a for a in p), w_inv)
         return tuple(k + 1 - a for a in v2), tuple(k + 1 - a for a in u2)
     m = len(left)
     u1, v1 = _construct(left, tuple(a for a in w if a <= m))

@@ -88,11 +88,11 @@ def _memory_note(objects: int) -> None:
     print(f"guard override active; memory estimate ~{max(1, round(mb))} MB", file=sys.stderr)
 
 
-def _gf_note(pi: Permutation, force: bool) -> None:
-    # neither route of _gf enumerates S_n; le_gf keeps one entry per
-    # order filter of the inversion poset, and there are at most 2^n
+def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
+    # neither route enumerates S_n: the block recursion keeps a polynomial
+    # per block, le_gf an entry per order filter (at most 2^n)
     if force:
-        _memory_note(2**pi.size)
+        _memory_note(pi.size if sep else 2**pi.size)
 
 
 def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
@@ -109,8 +109,8 @@ def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
 
 def _cmd_analyze(args) -> int:
     pi = _parse_perm(args.perm)
-    _gf_note(pi, args.force)
     sep = is_separable(pi)
+    _gf_note(pi, sep, args.force)
     below = _gf(pi, "below", sep, args.force)
     above = _gf(pi, "above", sep, args.force)
     product = below * above == q_factorial(pi.size)
@@ -161,8 +161,9 @@ def _cmd_interval(args) -> int:
     else:
         bottom, top = pi, longest_element(pi.size)
     if args.gf or not (args.dot or args.json):
-        _gf_note(pi, args.force)
-        gf = _gf(pi, args.side, is_separable(pi), args.force)
+        sep = is_separable(pi)
+        _gf_note(pi, sep, args.force)
+        gf = _gf(pi, args.side, sep, args.force)
         if args.gf:
             text = str(gf)
         else:
@@ -217,7 +218,8 @@ def _cmd_survey(args) -> int:
 def _cmd_bijection(args) -> int:
     pi = _parse_perm(args.perm)
     if args.force:
-        _memory_note(factorial(pi.size))
+        # the inverse is built block by block, with no table
+        _memory_note(pi.size if args.invert is not None else factorial(pi.size))
     if args.invert is not None:
         w = _parse_perm(args.invert)
         u, v = invert_phi(pi, w)

@@ -79,15 +79,10 @@ class Permutation:
         return f"Permutation({self.word!r})"
 
     def __str__(self) -> str:
-        if self.size <= 9:
-            return "".join(str(a) for a in self.word)
-        return ",".join(str(a) for a in self.word)
+        return word_text(self.word)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, a in enumerate(self.word, start=1):
-            inv[a - 1] = i
-        return _trusted(tuple(inv))
+        return _trusted(tuple(positions(self.word)[1:]))
 
     def complement(self) -> "Permutation":
         """Each letter a replaced by n+1-a.
@@ -125,6 +120,28 @@ class Permutation:
             if all(map(lt, vals, vals[1:])):
                 return True
         return False
+
+
+def positions(word: tuple[int, ...]) -> list[int]:
+    """pos[a] is the position of letter a in word, counted from 1, and
+    pos[0] is unused; pos[1:] is the word of the inverse.
+
+    >>> positions((4, 1, 3, 2))
+    [0, 2, 4, 3, 1]
+    """
+    pos = [0] * (len(word) + 1)
+    for i, a in enumerate(word, start=1):
+        pos[a] = i
+    return pos
+
+
+def word_text(word: tuple[int, ...]) -> str:
+    """Digits up to 9 letters, comma-separated beyond.
+
+    >>> word_text((4, 1, 3, 2)), word_text(tuple(range(10, 0, -1)))
+    ('4132', '10,9,8,7,6,5,4,3,2,1')
+    """
+    return ("" if len(word) <= 9 else ",").join(map(str, word))
 
 
 def _trusted(word: tuple[int, ...]) -> Permutation:
@@ -168,9 +185,7 @@ def leq_weak(u: Permutation, v: Permutation) -> bool:
     """
     if u.size != v.size:
         raise ValueError(f"size mismatch: {u.size} vs {v.size}")
-    pos = [0] * (v.size + 1)
-    for i, a in enumerate(v.word):
-        pos[a] = i
+    pos = positions(v.word)
     uw = u.word
     at = [pos[a] for a in uw]
     for j in range(1, len(uw)):

@@ -160,11 +160,10 @@ def suite_duality(n_max: int, force: bool = False) -> SuiteResult:
 
 
 def _chain_word(chain) -> tuple[int, ...]:
-    word = []
-    for x, y in zip(chain, chain[1:]):
-        i = next(k for k in range(len(x.word)) if x.word[k] != y.word[k])
-        word.append(i + 1)
-    return tuple(word)
+    return tuple(
+        next(i for i, (a, b) in enumerate(zip(x, y), start=1) if a != b)
+        for x, y in zip(chain, chain[1:])
+    )
 
 
 def suite_chains_words(n_max: int, force: bool = False) -> SuiteResult:

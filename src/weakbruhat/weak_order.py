@@ -5,10 +5,10 @@ In the right weak order u <= v exactly when the inversion set of u
 (value pairs b > a with b placed before a) is contained in that of v.
 An upper cover w s_i swaps an ascent a < b of w and adds the one
 inversion (a, b), so a cover of some w <= top stays below top exactly
-when top places b before a: one lookup in top's position table.  The
-walks here run on word tuples with that test and build Permutation
-objects only for what they return, so the work is proportional to the
-interval actually returned.
+when top places b before a: one lookup in top's letter-position table.
+The walks run on word tuples with that test, and the elements of
+intervals and chains stay word tuples; wrap one as Permutation(w) where
+an object is wanted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GuardExceeded, IncomparableEndpoints
-from .perm import Permutation, _trusted, leq_weak
+from .perm import Permutation, leq_weak, positions, word_text
 from .qpoly import IntPoly
 
 INTERVAL_GUARD = 10
@@ -26,34 +26,26 @@ INTERVAL_GUARD = 10
 @dataclass(frozen=True)
 class Interval:
     """A weak order interval, elements grouped by rank offset from the
-    bottom.  ranks[k] holds the elements of length length(bottom) + k,
-    sorted by word."""
+    bottom.  ranks[k] holds the words of the elements of length
+    length(bottom) + k, sorted."""
 
     bottom: Permutation
     top: Permutation
-    ranks: tuple[tuple[Permutation, ...], ...]
+    ranks: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def size(self) -> int:
         return sum(len(r) for r in self.ranks)
 
-    def elements(self) -> Iterator[Permutation]:
+    def elements(self) -> Iterator[tuple[int, ...]]:
         for rank in self.ranks:
             yield from rank
 
 
-def _positions(top: Permutation) -> list[int]:
-    """pos[a] is the word position of letter a in top."""
-    pos = [0] * (top.size + 1)
-    for i, a in enumerate(top.word):
-        pos[a] = i
-    return pos
-
-
 def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Interval:
-    """All w with bottom <= w <= top, by upward BFS over covers that
-    stay below top.  Ranks are graded, so each rank only needs to
-    deduplicate itself."""
+    """The words of all w with bottom <= w <= top, by upward BFS over
+    covers that stay below top.  Ranks are graded, so each rank only
+    needs to deduplicate itself."""
     if bottom.size != top.size:
         raise ValueError(f"size mismatch: {bottom.size} vs {top.size}")
     if bottom.size > INTERVAL_GUARD and not force:
@@ -63,12 +55,12 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
         )
     if not leq_weak(bottom, top):
         raise IncomparableEndpoints(f"{bottom} is not below {top} in the weak order")
-    pos = _positions(top)
+    pos = positions(top.word)
     ranks = []
     frontier = {bottom.word}
     while frontier:
         words = sorted(frontier)
-        ranks.append(tuple(map(_trusted, words)))
+        ranks.append(tuple(words))
         frontier = set()
         for w in words:
             for i in range(len(w) - 1):
@@ -85,18 +77,18 @@ def rank_gf(iv: Interval) -> IntPoly:
 
 def all_saturated_chains(
     u: Permutation, v: Permutation
-) -> list[tuple[Permutation, ...]]:
+) -> list[tuple[tuple[int, ...], ...]]:
     """Every saturated chain u = w_0 < w_1 < ... < w_k = v, each step a
-    cover."""
+    cover, as a tuple of words."""
     if not leq_weak(u, v):
         raise IncomparableEndpoints(f"{u} is not below {v} in the weak order")
-    pos = _positions(v)
-    out: list[tuple[Permutation, ...]] = []
+    pos = positions(v.word)
+    out: list[tuple[tuple[int, ...], ...]] = []
     chain = [u.word]
 
     def walk(w: tuple[int, ...]) -> None:
         if w == v.word:
-            out.append(tuple(map(_trusted, chain)))
+            out.append(tuple(chain))
             return
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
@@ -140,24 +132,24 @@ def interval_json(iv: Interval) -> dict:
     return {
         "bottom": str(iv.bottom),
         "top": str(iv.top),
-        "ranks": [[str(p) for p in rank] for rank in iv.ranks],
+        "ranks": [[word_text(w) for w in rank] for rank in iv.ranks],
     }
 
 
 def hasse_dot(iv: Interval) -> str:
-    """DOT rendering of the interval's Hasse diagram, one rank per row."""
-    members = {p.word: p for p in iv.elements()}
+    """DOT rendering of the interval's Hasse diagram, one rank per row.
+    Every element is below top, so its up-edges are the covers that
+    stay below top, found by the same test as the BFS."""
+    pos = positions(iv.top.word)
     lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for rank in iv.ranks:
-        row = " ".join(f'"{p}";' for p in rank)
+        row = " ".join(f'"{word_text(w)}";' for w in rank)
         lines.append(f"  {{ rank=same; {row} }}")
-    for rank in iv.ranks:
-        for p in rank:
-            w = p.word
-            for i in range(len(w) - 1):
-                if w[i] < w[i + 1]:
-                    c = members.get(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
-                    if c is not None:
-                        lines.append(f'  "{p}" -> "{c}";')
+    for w in iv.elements():
+        text = word_text(w)
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a < b and pos[b] < pos[a]:
+                lines.append(f'  "{text}" -> "{word_text(w[:i] + (b, a) + w[i + 2 :])}";')
     lines.append("}")
     return "\n".join(lines)

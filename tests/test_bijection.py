@@ -40,8 +40,8 @@ from weakbruhat.weak_order import interval
 def _reference_rows(pi):
     """(u, v, phi(u, v)) for every u <= pi <= v, through Permutation
     objects, u-major in interval order."""
-    below = list(interval(identity(pi.size), pi).elements())
-    above = list(interval(pi, longest_element(pi.size)).elements())
+    below = list(map(Permutation, interval(identity(pi.size), pi).elements()))
+    above = list(map(Permutation, interval(pi, longest_element(pi.size)).elements()))
     return [(u, v, phi(u, v)) for u in below for v in above]
 
 
@@ -86,8 +86,8 @@ def test_invert_phi_round_trip(n):
         for w in all_permutations(n):
             u, v = invert_phi(pi, w)
             assert phi(u, v) == w
-            assert u in below
-            assert v in above
+            assert u.word in below
+            assert v.word in above
 
 
 @settings(max_examples=40)
@@ -187,12 +187,12 @@ def test_check_bijection_builds_no_permutation_per_pair(monkeypatch):
 
         return wrapper
 
-    for module in (perm, weak_order, bijection):
+    for module in (perm, bijection):
         monkeypatch.setattr(module, "_trusted", counted(module._trusted))
     for module in (weak_order, bijection):
         monkeypatch.setattr(module, "Permutation", counted(module.Permutation))
     assert check_bijection(pi).is_bijection
-    assert built <= below + above + 4
+    assert built == 0
 
 
 def test_pair_table_csv_quotes_words_of_ten_letters():

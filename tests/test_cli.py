@@ -2,6 +2,7 @@
 examples that the library's fixtures pin down."""
 
 import json
+from math import factorial
 
 import pytest
 
@@ -410,3 +411,21 @@ def test_force_memory_note_on_analyze_counts_order_ideals(capsys):
     assert code == 0
     mb = int(err.split("~")[1].split()[0])
     assert mb * 1e6 <= 2**20 * 150
+
+
+def test_force_memory_note_follows_the_route(capsys):
+    def note_mb(*argv):
+        code, _, err = run(capsys, "--force", *argv)
+        assert code == 0
+        return int(err.split("~")[1].split()[0])
+
+    # at 24 letters n! objects would be ~9e19 MB and 2^n ~2517 MB
+    sep = ",".join(str(a) for a in (1, 3, 2, *range(4, 25)))
+    non_sep = ",".join(str(a) for a in (2, 4, 1, 3, *range(5, 25)))
+    assert note_mb("bijection", sep, "--invert", sep) == 1
+    assert note_mb("analyze", sep) == 1
+    assert note_mb("interval", sep, "--gf") == 1
+    assert note_mb("interval", non_sep, "--gf") == round(2**24 * 150 / 1e6)
+    # the check and the table pair up all of S_8
+    assert note_mb("bijection", "12345678") == note_mb("bijection", "12345678", "--table")
+    assert note_mb("bijection", "12345678") == round(factorial(8) * 150 / 1e6) == 6

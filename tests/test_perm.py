@@ -121,7 +121,7 @@ def test_descents_and_covers():
     # the upper covers of pi are rank 1 of the interval [pi, w0]
     ups = interval(pi, longest_element(6)).ranks[1]
     assert len(ups) == 6 - 1 - 2  # one cover per ascent
-    for up in ups:
+    for up in map(Permutation, ups):
         assert up.length == pi.length + 1
         assert sum(a != b for a, b in zip(pi.word, up.word)) == 2
 

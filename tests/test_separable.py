@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
+from weakbruhat.poset import inversion_poset, le_gf
 from weakbruhat.qpoly import ONE, q_factorial
 from weakbruhat.separable import (
     NEGATIVE,
@@ -99,6 +100,21 @@ def test_recursions_reject_exactly_the_nonseparable_words(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_separable_counts_schroder(n):
     assert len(separable_words(n)) == schroder(n - 1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_product_is_q_factorial_exactly_for_separable_words(n):
+    # the converse of the main theorem, with both sides by linear
+    # extensions: [pi, w0] read backwards is [id, pi^c]
+    full = q_factorial(n)
+    factors = 0
+    for pi in all_permutations(n):
+        below = le_gf(inversion_poset(pi))
+        above = le_gf(inversion_poset(pi.complement())).reverse()
+        product_is_full = below * above == full
+        assert product_is_full == is_separable(pi), pi
+        factors += product_is_full
+    assert factors == schroder(n - 1)
 
 
 def test_separating_tree_root_split_fixtures():

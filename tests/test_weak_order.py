@@ -6,10 +6,12 @@ from math import factorial
 
 import pytest
 
+from weakbruhat import perm, weak_order
 from weakbruhat.errors import GuardExceeded, IncomparableEndpoints
 from weakbruhat.perm import (
     Permutation,
     all_permutations,
+    compose,
     identity,
     leq_weak,
     longest_element,
@@ -35,7 +37,7 @@ def test_full_interval_is_the_group():
 def test_interval_fixture_4132():
     iv = interval(identity(4), Permutation((4, 1, 3, 2)))
     assert [len(r) for r in iv.ranks] == [1, 2, 2, 2, 1]
-    assert all(leq_weak(p, iv.top) for p in iv.elements())
+    assert all(leq_weak(Permutation(w), iv.top) for w in iv.elements())
 
 
 def test_interval_errors():
@@ -50,9 +52,9 @@ def test_interval_errors():
 def test_interval_ranks_are_sorted_and_graded():
     iv = interval(Permutation((2, 1, 3)), longest_element(3))
     for k, rank in enumerate(iv.ranks):
-        assert list(rank) == sorted(rank, key=lambda p: p.word)
-        for p in rank:
-            assert p.length == iv.bottom.length + k
+        assert list(rank) == sorted(rank)
+        for w in rank:
+            assert Permutation(w).length == iv.bottom.length + k
 
 
 def test_reduced_words_fixtures():
@@ -77,6 +79,7 @@ def test_chains_match_words():
         chains = all_saturated_chains(identity(4), pi)
         assert len(chains) == len(reduced_words(pi))
         for c in chains:
+            c = [Permutation(w) for w in c]
             assert c[0] == identity(4) and c[-1] == pi
             for x, y in zip(c, c[1:]):
                 assert y.length == x.length + 1 and leq_weak(x, y)
@@ -120,7 +123,7 @@ def _filtered_ranks(u, v, perms, inv):
 def _check_against_filter(u, v, perms, inv):
     iv = interval(u, v)
     assert iv.bottom == u and iv.top == v
-    assert [[p.word for p in r] for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
+    assert [list(r) for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -157,4 +160,35 @@ def test_saturated_chains_stay_in_the_interval():
     assert chains
     for c in chains:
         assert set(c) <= members
-        assert [p.length for p in c] == list(range(u.length, v.length + 1))
+        assert [Permutation(w).length for w in c] == list(range(u.length, v.length + 1))
+
+
+def test_interval_and_chains_build_no_permutation(monkeypatch):
+    # the endpoints are the only Permutation objects: elements and
+    # chains are word tuples
+    e, w0 = identity(7), longest_element(7)
+    u, v = Permutation((2, 1, 3, 4, 5)), Permutation((5, 3, 4, 2, 1))
+    # chains u -> v replay the reduced words of u^-1 v
+    n_chains = len(reduced_words(compose(u.inverse(), v)))
+    built = 0
+
+    def counted(make):
+        def wrapper(*args):
+            nonlocal built
+            built += 1
+            return make(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Permutation, "__init__", counted(Permutation.__init__))
+    for module in (perm, weak_order):
+        if hasattr(module, "_trusted"):
+            monkeypatch.setattr(module, "_trusted", counted(module._trusted))
+    iv = interval(e, w0)
+    chains = all_saturated_chains(u, v)
+    assert built == 0
+    assert iv.size == factorial(7) and len(chains) == n_chains > 1
+    assert next(iv.elements()) == e.word and chains[0][-1] == v.word
+    # the counter does see a construction
+    identity(3)
+    assert built == 1

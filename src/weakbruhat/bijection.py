@@ -7,6 +7,7 @@ intervals.  The intervals are kept as words and the images are formed
 as words, one position table per u and one itemgetter per v, so the
 check builds no Permutation per pair; Permutation objects are built
 only for PairTable.entries and the collisions of a failed check.
+Without force a table holds at most weak_order.WORD_BUDGET pairs.
 invert_phi reconstructs the unique preimage of a target w by recursion
 over pi's block structure, verifying its answer and raising
 InternalInversionFailure if the check fails, since the construction is
@@ -23,9 +24,7 @@ from operator import itemgetter
 from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
 from .separable import NEGATIVE, _split, is_separable
-from .weak_order import interval
-
-PAIR_TABLE_GUARD = 7
+from .weak_order import WORD_BUDGET, interval
 
 
 def phi(u: Permutation, v: Permutation) -> Permutation:
@@ -89,15 +88,13 @@ class BijectionReport:
 
 
 def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
-    """Every (u, v) with u <= pi <= v, with the intervals kept as words."""
-    if pi.size > PAIR_TABLE_GUARD and not force:
-        raise GuardExceeded(
-            f"pair table guarded at n <= {PAIR_TABLE_GUARD} (got {pi.size}); "
-            "pass force=True (--force) to override"
-        )
-    below = interval(identity(pi.size), pi, force=force).elements()
-    above = interval(pi, longest_element(pi.size), force=force).elements()
-    return PairTable(pi, tuple(below), tuple(above))
+    """Every (u, v) with u <= pi <= v, with the intervals kept as words;
+    without force, GuardExceeded past WORD_BUDGET pairs, before any image."""
+    below = tuple(interval(identity(pi.size), pi, force=force).elements())
+    above = tuple(interval(pi, longest_element(pi.size), force=force).elements())
+    if len(below) * len(above) > WORD_BUDGET and not force:
+        raise GuardExceeded(f"pair table passed {WORD_BUDGET} pairs; pass force=True (--force) to override")
+    return PairTable(pi, below, above)
 
 
 def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:

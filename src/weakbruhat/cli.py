@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .bijection import build_pair_table, check_bijection, invert_phi
 from .errors import InternalInversionFailure, NonzeroRemainder, UsageError
@@ -35,7 +35,7 @@ from .separable import (
     tree_dot,
     tree_json,
 )
-from .survey import _atomic_write, scan
+from .survey import _atomic_write, _check_scan_args, scan
 from .verify import run_suite, suite_names
 from .weak_order import hasse_dot, interval, interval_json
 
@@ -82,10 +82,18 @@ def _rows(data: dict) -> list[tuple[str, str]]:
     return [(key, _text(value)) for key, value in data.items()]
 
 
-def _memory_note(objects: int) -> None:
+def _memory_note(objects: int, count: str = "") -> None:
     # rough peak: one Python object row per enumerated object
-    mb = objects * 150 / 1e6
-    print(f"guard override active; memory estimate ~{max(1, round(mb))} MB", file=sys.stderr)
+    mb = max(1, round(objects * 150 / 1e6))
+    print(f"guard override active; {count}memory estimate ~{mb} MB", file=sys.stderr)
+
+
+def _words_note(pi: Permutation, *sides: str) -> None:
+    # the exact number of words enumerated: |[id, pi]| or |[pi, w0]| is
+    # its polynomial at q = 1, and a pair table holds their product
+    sep = is_separable(pi)
+    words = prod(_gf(pi, side, sep, True).evaluate(1) for side in sides)
+    _memory_note(words, f"{words} words, ")
 
 
 def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
@@ -156,10 +164,7 @@ def _cmd_tree(args) -> int:
 def _cmd_interval(args) -> int:
     # only --dot and --json list the elements, so only they enumerate
     pi = _parse_perm(args.perm)
-    if args.side == "below":
-        bottom, top = identity(pi.size), pi
-    else:
-        bottom, top = pi, longest_element(pi.size)
+    bottom, top = (identity(pi.size), pi) if args.side == "below" else (pi, longest_element(pi.size))
     if args.gf or not (args.dot or args.json):
         sep = is_separable(pi)
         _gf_note(pi, sep, args.force)
@@ -176,7 +181,7 @@ def _cmd_interval(args) -> int:
             ])
     else:
         if args.force:
-            _memory_note(factorial(pi.size))
+            _words_note(pi, args.side)
         iv = interval(bottom, top, force=args.force)
         text = hasse_dot(iv) if args.dot else json.dumps(interval_json(iv), indent=2)
     _output(args, text + "\n")
@@ -206,6 +211,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_survey(args) -> int:
     if args.force:
+        _check_scan_args(args.n, args.force)
         _memory_note(factorial(args.n))
     report = scan(
         args.n, out=args.out, resume=args.resume, workers=args.workers, force=args.force
@@ -217,9 +223,11 @@ def _cmd_survey(args) -> int:
 
 def _cmd_bijection(args) -> int:
     pi = _parse_perm(args.perm)
-    if args.force:
+    if args.force and args.invert is not None:
         # the inverse is built block by block, with no table
-        _memory_note(pi.size if args.invert is not None else factorial(pi.size))
+        _memory_note(pi.size)
+    elif args.force:
+        _words_note(pi, "below", "above")
     if args.invert is not None:
         w = _parse_perm(args.invert)
         u, v = invert_phi(pi, w)

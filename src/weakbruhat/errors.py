@@ -22,11 +22,8 @@ class InternalInversionFailure(RuntimeError):
 
 
 class GuardExceeded(ValueError):
-    """A resource guard refused the requested problem size.
-
-    Every guarded entry point accepts force=True (--force on the command
-    line) to override the guard.
-    """
+    """A resource guard refused the requested size or word count; every
+    guarded entry point accepts force=True (--force) to override it."""
 
 
 class CheckpointError(ValueError):

@@ -23,7 +23,7 @@ sub-posets; the small ones are kept in one table that all calls share.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -306,42 +306,38 @@ def _ideal_masks(p: Poset) -> list[int]:
 
 
 def _op_values_bruteforce(p: Poset, m_max: int) -> list[int]:
-    # Reference route for `verify des` and the tests: enumerates every
-    # order-preserving map into 1..m_max.  Elements get their values in
-    # index order, and each cover pair is checked when its later-indexed
-    # end gets a value, so no partial map that breaks f(a) <= f(b) is
-    # extended.  A map with largest value v maps into 1..m exactly when
-    # v <= m, so Omega(m) is the running sum of the tally by largest
-    # value.
+    # Reference route for `verify des` and the tests: counts the
+    # order-preserving maps into 1..m one element at a time, in index
+    # order.  A value raises the floors of the later elements above it
+    # and lowers the ceilings of the later ones below it, so no partial
+    # map that breaks f(a) <= f(b) is extended.  The maps left to count
+    # from index i on depend only on those floors and ceilings, so walk
+    # is memoized on them, across every m.
     n = p.size
-    floors: list[list[int]] = [[] for _ in range(n)]  # covered, earlier index
-    ceilings: list[list[int]] = [[] for _ in range(n)]  # covering, earlier index
+    raises: list[list[int]] = [[] for _ in range(n)]  # later, covering
+    lowers: list[list[int]] = [[] for _ in range(n)]  # later, covered
     for a, b in p.covers():
         if a < b:
-            floors[b - 1].append(a - 1)
+            raises[a - 1].append(b - 1)
         else:
-            ceilings[a - 1].append(b - 1)
-    f = [0] * n
-    tally = [0] * (m_max + 1)
+            lowers[b - 1].append(a - 1)
 
-    def walk(i: int, top: int) -> None:
-        lo, hi = 1, m_max
-        for a in floors[i]:
-            if f[a] > lo:
-                lo = f[a]
-        for b in ceilings[i]:
-            if f[b] < hi:
-                hi = f[b]
-        if i == n - 1:
-            for v in range(lo, hi + 1):
-                tally[v if v > top else top] += 1
-            return
-        for v in range(lo, hi + 1):
-            f[i] = v
-            walk(i + 1, v if v > top else top)
+    @cache
+    def walk(i: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
+        # lo[k - i] <= f(k) <= hi[k - i] for every element k >= i
+        if i == n:
+            return 1
+        count = 0
+        for v in range(lo[0], hi[0] + 1):
+            floor, ceiling = list(lo[1:]), list(hi[1:])
+            for k in raises[i]:
+                floor[k - i - 1] = max(floor[k - i - 1], v)
+            for k in lowers[i]:
+                ceiling[k - i - 1] = min(ceiling[k - i - 1], v)
+            count += walk(i + 1, tuple(floor), tuple(ceiling))
+        return count
 
-    walk(0, 0)
-    return list(accumulate(tally[1:]))
+    return [walk(0, (1,) * n, (m,) * n) for m in range(1, m_max + 1)]
 
 
 def _op_values_ideal_dp(p: Poset, m_max: int) -> list[int]:

@@ -8,19 +8,21 @@ inversion (a, b), so a cover of some w <= top stays below top exactly
 when top places b before a: one lookup in top's letter-position table.
 The walks run on word tuples with that test, and the elements of
 intervals and chains stay word tuples; wrap one as Permutation(w) where
-an object is wanted.
+an object is wanted.  WORD_BUDGET caps the words an interval or a pair
+table may hold without force, whatever n is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator
 
 from .errors import GuardExceeded, IncomparableEndpoints
 from .perm import Permutation, leq_weak, positions, word_text
 from .qpoly import IntPoly
 
-INTERVAL_GUARD = 10
+WORD_BUDGET = factorial(9)
 
 
 @dataclass(frozen=True)
@@ -45,20 +47,20 @@ class Interval:
 def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Interval:
     """The words of all w with bottom <= w <= top, by upward BFS over
     covers that stay below top.  Ranks are graded, so each rank only
-    needs to deduplicate itself."""
+    needs to deduplicate itself.  Without force, raises GuardExceeded
+    once more than WORD_BUDGET words are collected."""
     if bottom.size != top.size:
         raise ValueError(f"size mismatch: {bottom.size} vs {top.size}")
-    if bottom.size > INTERVAL_GUARD and not force:
-        raise GuardExceeded(
-            f"interval enumeration guarded at n <= {INTERVAL_GUARD} "
-            f"(got {bottom.size}); pass force=True (--force) to override"
-        )
     if not leq_weak(bottom, top):
         raise IncomparableEndpoints(f"{bottom} is not below {top} in the weak order")
     pos = positions(top.word)
     ranks = []
     frontier = {bottom.word}
+    total = 0
     while frontier:
+        total += len(frontier)
+        if total > WORD_BUDGET and not force:
+            raise GuardExceeded(f"interval passed {WORD_BUDGET} words; pass force=True (--force) to override")
         words = sorted(frontier)
         ranks.append(tuple(words))
         frontier = set()

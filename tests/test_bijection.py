@@ -15,7 +15,6 @@ from test_separable import separable_word
 
 from weakbruhat import bijection, perm, weak_order
 from weakbruhat.bijection import (
-    PAIR_TABLE_GUARD,
     BijectionReport,
     PairTable,
     build_pair_table,
@@ -134,12 +133,35 @@ def test_pair_table_csv():
     assert images == sorted(images)
 
 
-def test_pair_table_guard():
-    big = longest_element(PAIR_TABLE_GUARD + 1)
+def set_budget(monkeypatch, k):
+    for module in (weak_order, bijection):
+        monkeypatch.setattr(module, "WORD_BUDGET", k)
+
+
+def test_pair_table_guard(monkeypatch):
+    # 4132 has 8 words below and 3 above: 24 pairs, each interval
+    # inside the budget, so the product is what refuses
+    assert bijection.WORD_BUDGET is weak_order.WORD_BUDGET == factorial(9)
+    pi = Permutation((4, 1, 3, 2))
+    set_budget(monkeypatch, 23)
     with pytest.raises(GuardExceeded, match="force"):
-        build_pair_table(big)
+        build_pair_table(pi)
     with pytest.raises(GuardExceeded, match="force"):
-        check_bijection(big)
+        check_bijection(pi)
+    assert len(build_pair_table(pi, force=True).images()) == 24
+    assert check_bijection(pi, force=True).is_bijection
+    # exactly at the budget it runs
+    set_budget(monkeypatch, 24)
+    assert len(build_pair_table(pi).images()) == 24
+    assert check_bijection(pi).is_bijection
+
+
+def test_pair_table_budget_counts_pairs_not_n():
+    # 8! pairs lie within the budget, so n = 8 needs no force
+    pi = identity(8)
+    table = build_pair_table(pi)
+    assert (len(table.below), len(table.above)) == (1, factorial(8))
+    assert check_bijection(pi).is_bijection
 
 
 @pytest.mark.parametrize("n", range(1, 6))

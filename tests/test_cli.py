@@ -6,9 +6,10 @@ from math import factorial
 
 import pytest
 
-from weakbruhat import cli
+from weakbruhat import cli, weak_order
+from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
-from weakbruhat.perm import all_permutations, identity, longest_element
+from weakbruhat.perm import all_permutations, identity, longest_element, parse_permutation
 from weakbruhat.weak_order import interval, rank_gf
 
 
@@ -169,7 +170,7 @@ def test_interval_summary_and_gf_enumerate_nothing(capsys, monkeypatch):
         main(["interval", "4132", "--dot"])
 
 
-def test_interval_past_the_bfs_guard(capsys):
+def test_interval_past_the_bfs_guard(capsys, monkeypatch):
     word = "10,9,8,7,6,5,4,3,2,1,11"
     _, data, _ = run_json(capsys, "analyze", word)
     for side in ("below", "above"):
@@ -182,11 +183,50 @@ def test_interval_past_the_bfs_guard(capsys):
         assert rows["rank gf"].strip() == want
         coeffs = [int(c) for c in rows["rank sizes"].strip().split(", ")]
         assert int(rows["size"]) == sum(coeffs)
-    # --dot and --json list the elements, so they still enumerate
+    # --dot and --json list the elements, so they enumerate: [pi, w0]
+    # has 11 words and runs, [id, pi] has 10! and passes the budget
+    code, data, err = run_json(capsys, "interval", word, "--side", "above")
+    assert code == 0 and err == ""
+    assert sum(len(r) for r in data["ranks"]) == 11
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 11)
     for flag in ("--dot", "--json"):
-        code, out, err = run(capsys, "interval", word, flag)
+        code, out, _ = run(capsys, "interval", word, "--side", "above", flag)
+        assert code == 0 and word in out
+        code, out, err = run(capsys, "interval", word, "--side", "below", flag)
         assert code == 1 and out == ""
         assert "--force" in err
+
+
+def test_small_interval_of_a_long_word_lists_without_force(capsys):
+    word = "2,1,3,4,5,6,7,8,9,10,12,11"
+    code, data, err = run_json(capsys, "interval", word)
+    assert code == 0 and err == ""
+    assert [len(r) for r in data["ranks"]] == [1, 2, 1]
+    code, dot, err = run(capsys, "interval", word, "--dot")
+    assert code == 0 and err == ""
+    assert dot.count(" -> ") == 4
+
+
+def test_force_note_counts_the_words_enumerated(capsys):
+    def noted(*argv):
+        code, _, err = run(capsys, "--force", *argv)
+        assert code == 0
+        count, unit = err.split("; ")[1].split()[:2]
+        assert unit == "words,"
+        return int(count)
+
+    # 18 words below a 10-letter word, where an n! guess gave ~544 MB
+    word = "3,1,2,5,4,6,7,10,8,9"
+    pi = parse_permutation(word)
+    assert noted("interval", word, "--dot") == interval(identity(10), pi).size == 18
+    for word in ("4132", "2413", "35142", "1"):
+        pi = parse_permutation(word)
+        n = pi.size
+        for side, iv in (("below", interval(identity(n), pi)), ("above", interval(pi, longest_element(n)))):
+            assert noted("interval", word, "--side", side, "--dot") == iv.size
+            assert noted("interval", word, "--side", side, "--json") == iv.size
+        table = build_pair_table(pi)
+        assert noted("bijection", word) == noted("bijection", word, "--table") == len(table.images())
 
 
 def test_interval_non_separable_past_the_guard(capsys):
@@ -363,6 +403,8 @@ def test_force_prints_memory_note(capsys):
         ("verify", "formula", "--n", "-3"),
         ("survey", "--n", "0"),
         ("survey", "--n", "-1"),
+        ("--force", "survey", "--n", "0"),
+        ("--force", "survey", "--n", "-1"),
         ("survey", "--n", "4", "--workers", "-2"),
         ("survey", "--n", "4", "--workers", "0"),
         ("survey", "--n", "3", "--resume"),
@@ -372,6 +414,7 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "usage error:" in err
+    assert "memory estimate" not in err
     assert "pass:" not in out
 
 

@@ -40,13 +40,34 @@ def test_interval_fixture_4132():
     assert all(leq_weak(Permutation(w), iv.top) for w in iv.elements())
 
 
-def test_interval_errors():
+def test_interval_errors(monkeypatch):
     with pytest.raises(IncomparableEndpoints):
         interval(Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3)))
     with pytest.raises(ValueError):
         interval(identity(3), identity(4))
+    # the walk stops at the first rank that passes the budget
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 100)
     with pytest.raises(GuardExceeded, match="force"):
         interval(identity(11), longest_element(11))
+
+
+def test_interval_budget_is_exact(monkeypatch):
+    # [id, 4132] has 8 words: a budget of 8 admits it, one of 7 refuses
+    # it unless forced
+    top = Permutation((4, 1, 3, 2))
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 8)
+    assert interval(identity(4), top).size == 8
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 7)
+    with pytest.raises(GuardExceeded, match="force"):
+        interval(identity(4), top)
+    assert interval(identity(4), top, force=True).size == 8
+
+
+def test_interval_budget_counts_words_not_n():
+    assert weak_order.WORD_BUDGET == factorial(9)
+    top = Permutation((2, 1, *range(3, 11), 12, 11))
+    iv = interval(identity(12), top)
+    assert [len(r) for r in iv.ranks] == [1, 2, 1]
 
 
 def test_interval_ranks_are_sorted_and_graded():

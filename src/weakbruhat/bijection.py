@@ -21,10 +21,10 @@ from itertools import product
 from math import factorial
 from operator import itemgetter
 
-from .errors import GuardExceeded, InternalInversionFailure, NotSeparable
+from .errors import InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
 from .separable import NEGATIVE, _split, is_separable
-from .weak_order import WORD_BUDGET, interval
+from .weak_order import check_budget, interval
 
 
 def phi(u: Permutation, v: Permutation) -> Permutation:
@@ -92,8 +92,7 @@ def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
     without force, GuardExceeded past WORD_BUDGET pairs, before any image."""
     below = tuple(interval(identity(pi.size), pi, force=force).elements())
     above = tuple(interval(pi, longest_element(pi.size), force=force).elements())
-    if len(below) * len(above) > WORD_BUDGET and not force:
-        raise GuardExceeded(f"pair table passed {WORD_BUDGET} pairs; pass force=True (--force) to override")
+    check_budget(len(below) * len(above), force, "pairs")
     return PairTable(pi, below, above)
 
 

@@ -30,6 +30,7 @@ from .separable import (
     Leaf,
     gf_above_recursive,
     gf_below_recursive,
+    interval_sizes,
     is_separable,
     separating_tree,
     tree_dot,
@@ -37,7 +38,7 @@ from .separable import (
 )
 from .survey import _atomic_write, _check_scan_args, scan
 from .verify import run_suite, suite_names
-from .weak_order import hasse_dot, interval, interval_json
+from .weak_order import check_budget, hasse_dot, interval, interval_json
 
 
 def _parse_perm(text: str) -> Permutation:
@@ -82,18 +83,31 @@ def _rows(data: dict) -> list[tuple[str, str]]:
     return [(key, _text(value)) for key, value in data.items()]
 
 
-def _memory_note(objects: int, count: str = "") -> None:
-    # rough peak: one Python object row per enumerated object
+def _memory_note(objects: int, exact: bool = False) -> None:
+    # rough peak: one Python object row per enumerated object; exact when
+    # objects is the count of words the command enumerates
     mb = max(1, round(objects * 150 / 1e6))
+    count = f"{objects} words, " if exact else ""
     print(f"guard override active; {count}memory estimate ~{mb} MB", file=sys.stderr)
 
 
-def _words_note(pi: Permutation, *sides: str) -> None:
-    # the exact number of words enumerated: |[id, pi]| or |[pi, w0]| is
-    # its polynomial at q = 1, and a pair table holds their product
+def _check_words(pi: Permutation, force: bool, *sides: str) -> None:
+    # An interval holds as many words as its polynomial's value at q = 1,
+    # a pair table the product over both sides.  A separable word's
+    # sizes come cheaply from the block recursion, so the budget refuses
+    # it before any walk.  A non-separable word is counted from `_gf`
+    # only for the --force note, and is otherwise left to the walk.
     sep = is_separable(pi)
-    words = prod(_gf(pi, side, sep, True).evaluate(1) for side in sides)
-    _memory_note(words, f"{words} words, ")
+    if sep:
+        sizes = dict(zip(("below", "above"), interval_sizes(pi)))
+        words = prod(sizes[side] for side in sides)
+    elif force:
+        words = prod(_gf(pi, side, sep, force).evaluate(1) for side in sides)
+    else:
+        return
+    check_budget(words, force, "words" if len(sides) == 1 else "pairs")
+    if force:
+        _memory_note(words, exact=True)
 
 
 def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
@@ -164,7 +178,10 @@ def _cmd_tree(args) -> int:
 def _cmd_interval(args) -> int:
     # only --dot and --json list the elements, so only they enumerate
     pi = _parse_perm(args.perm)
-    bottom, top = (identity(pi.size), pi) if args.side == "below" else (pi, longest_element(pi.size))
+    if args.side == "below":
+        bottom, top = identity(pi.size), pi
+    else:
+        bottom, top = pi, longest_element(pi.size)
     if args.gf or not (args.dot or args.json):
         sep = is_separable(pi)
         _gf_note(pi, sep, args.force)
@@ -180,8 +197,7 @@ def _cmd_interval(args) -> int:
                 ("rank gf", str(gf)),
             ])
     else:
-        if args.force:
-            _words_note(pi, args.side)
+        _check_words(pi, args.force, args.side)
         iv = interval(bottom, top, force=args.force)
         text = hasse_dot(iv) if args.dot else json.dumps(interval_json(iv), indent=2)
     _output(args, text + "\n")
@@ -211,7 +227,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_survey(args) -> int:
     if args.force:
-        _check_scan_args(args.n, args.force)
+        _check_scan_args(args.n, args.force, args.workers, args.out, args.resume)
         _memory_note(factorial(args.n))
     report = scan(
         args.n, out=args.out, resume=args.resume, workers=args.workers, force=args.force
@@ -223,17 +239,16 @@ def _cmd_survey(args) -> int:
 
 def _cmd_bijection(args) -> int:
     pi = _parse_perm(args.perm)
-    if args.force and args.invert is not None:
-        # the inverse is built block by block, with no table
-        _memory_note(pi.size)
-    elif args.force:
-        _words_note(pi, "below", "above")
     if args.invert is not None:
         w = _parse_perm(args.invert)
+        if args.force:
+            # the inverse is built block by block, with no table
+            _memory_note(pi.size)
         u, v = invert_phi(pi, w)
         data = {"word": str(pi), "target": str(w), "u": str(u), "v": str(v)}
         _output(args, _render(args, data, [("u", str(u)), ("v", str(v))]))
         return 0
+    _check_words(pi, args.force, "below", "above")
     if args.table:
         table = build_pair_table(pi, force=args.force)
         _output(args, table.to_csv())

@@ -14,7 +14,8 @@ the separable permutations are exactly those avoiding 3142 and 2413, is
 kept as a cross-check in the tests.  Two independent evaluation routes
 are kept side by side on purpose: a recursion over block splits, and a
 closed formula read off the tree.  Tests confirm they agree with each
-other and with brute-force interval enumeration.
+other and with brute-force interval enumeration.  interval_sizes runs
+the recursion at q = 1, for the two interval sizes alone.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -24,6 +25,7 @@ interval [pi, w0] is its complement dual: read backwards it is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Union
 
 from .errors import Not231Avoiding, NotSeparable
@@ -208,6 +210,27 @@ def gf_above_recursive(pi: Permutation) -> IntPoly:
     lower recursion on the complement, reversed.  NotSeparable names
     pi itself."""
     return _recursion(pi, pi.complement().word).reverse()
+
+
+def interval_sizes(pi: Permutation) -> tuple[int, int]:
+    """|[id, pi]| and |[pi, w0]|: the two recursions above at q = 1,
+    where each Gaussian binomial is a binomial, so no polynomial is
+    formed.  Raises NotSeparable for a non-separable pi.
+
+    >>> interval_sizes(Permutation((4, 1, 3, 2)))
+    (8, 3)
+    """
+    def size(word, lo: int, hi: int) -> int:
+        if len(word) == 1:
+            return 1
+        split = _split(word, lo, hi)
+        if split is None:
+            raise NotSeparable(f"{pi} is not separable: block {word} has no prefix split")
+        sign, left, right = split
+        value = size(*left) * size(*right)
+        return comb(len(word), len(left[0])) * value if sign == NEGATIVE else value
+
+    return size(pi.word, 1, pi.size), size(pi.complement().word, 1, pi.size)
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

@@ -131,7 +131,9 @@ def iter_records(n: int, force: bool = False):
             yield SurveyRecord(t[0], t[1], IntPoly(t[2]), t[3], t[4], t[5], t[6])
 
 
-def _check_scan_args(n: int, force: bool) -> None:
+def _check_scan_args(
+    n: int, force: bool, workers: int | None = None, out: str | None = None, resume: bool = False
+) -> None:
     if n < 1:
         raise UsageError(f"scan needs n >= 1, got {n}")
     if n > SURVEY_HARD_LIMIT:
@@ -141,6 +143,10 @@ def _check_scan_args(n: int, force: bool) -> None:
             f"survey guarded at n <= {SURVEY_GUARD} (got {n}); "
             "pass force=True (--force) to override"
         )
+    if workers is not None and workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    if resume and out is None:
+        raise UsageError("resume needs the CSV path (--out) of the scan to continue")
 
 
 def _format_row(rec) -> str:
@@ -206,17 +212,13 @@ def scan(
     """Survey all of S_n.  With out set, stream a CSV there (plus a
     .ckpt checkpoint while running and a .summary.json at the end);
     resume=True continues an interrupted scan from its checkpoint."""
-    _check_scan_args(n, force)
+    _check_scan_args(n, force, workers, out, resume)
     t0 = time.monotonic()
     counts = _Counts()
     if workers is None:
         workers = os.cpu_count() or 1
-    elif workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
 
     if out is None:
-        if resume:
-            raise UsageError("resume needs the CSV path (--out) of the scan to continue")
         for chunk in _iter_chunk_results(n, workers, 0):
             for rec in chunk:
                 counts.add(rec)

@@ -9,7 +9,7 @@ when top places b before a: one lookup in top's letter-position table.
 The walks run on word tuples with that test, and the elements of
 intervals and chains stay word tuples; wrap one as Permutation(w) where
 an object is wanted.  WORD_BUDGET caps the words an interval or a pair
-table may hold without force, whatever n is.
+table may hold without force, whatever n is; check_budget applies it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ from .perm import Permutation, leq_weak, positions, word_text
 from .qpoly import IntPoly
 
 WORD_BUDGET = factorial(9)
+
+
+def check_budget(words: int, force: bool, unit: str = "words") -> None:
+    """Refuse an enumeration of more than WORD_BUDGET words (or pairs)
+    unless forced."""
+    if words > WORD_BUDGET and not force:
+        raise GuardExceeded(
+            f"enumeration passes the budget of {WORD_BUDGET} {unit}; "
+            "pass force=True (--force) to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,7 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
     """The words of all w with bottom <= w <= top, by upward BFS over
     covers that stay below top.  Ranks are graded, so each rank only
     needs to deduplicate itself.  Without force, raises GuardExceeded
-    once more than WORD_BUDGET words are collected."""
+    as soon as more than WORD_BUDGET words are found."""
     if bottom.size != top.size:
         raise ValueError(f"size mismatch: {bottom.size} vs {top.size}")
     if not leq_weak(bottom, top):
@@ -58,13 +68,15 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
     frontier = {bottom.word}
     total = 0
     while frontier:
-        total += len(frontier)
-        if total > WORD_BUDGET and not force:
-            raise GuardExceeded(f"interval passed {WORD_BUDGET} words; pass force=True (--force) to override")
         words = sorted(frontier)
         ranks.append(tuple(words))
+        total += len(words)
         frontier = set()
         for w in words:
+            # checked before each word's covers, so a refused walk holds
+            # at most n - 1 words past the budget
+            if total + len(frontier) > WORD_BUDGET:
+                check_budget(total + len(frontier), force)
             for i in range(len(w) - 1):
                 a, b = w[i], w[i + 1]
                 if a < b and pos[b] < pos[a]:

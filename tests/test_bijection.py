@@ -133,17 +133,14 @@ def test_pair_table_csv():
     assert images == sorted(images)
 
 
-def set_budget(monkeypatch, k):
-    for module in (weak_order, bijection):
-        monkeypatch.setattr(module, "WORD_BUDGET", k)
-
-
 def test_pair_table_guard(monkeypatch):
     # 4132 has 8 words below and 3 above: 24 pairs, each interval
-    # inside the budget, so the product is what refuses
-    assert bijection.WORD_BUDGET is weak_order.WORD_BUDGET == factorial(9)
+    # inside the budget, so the product is what refuses.  The pair table
+    # shares the interval's check, so one budget moves both.
+    assert bijection.check_budget is weak_order.check_budget
+    assert weak_order.WORD_BUDGET == factorial(9)
     pi = Permutation((4, 1, 3, 2))
-    set_budget(monkeypatch, 23)
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 23)
     with pytest.raises(GuardExceeded, match="force"):
         build_pair_table(pi)
     with pytest.raises(GuardExceeded, match="force"):
@@ -151,7 +148,7 @@ def test_pair_table_guard(monkeypatch):
     assert len(build_pair_table(pi, force=True).images()) == 24
     assert check_bijection(pi, force=True).is_bijection
     # exactly at the budget it runs
-    set_budget(monkeypatch, 24)
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 24)
     assert len(build_pair_table(pi).images()) == 24
     assert check_bijection(pi).is_bijection
 

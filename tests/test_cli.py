@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from weakbruhat import cli, weak_order
+from weakbruhat import bijection, cli, weak_order
 from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
 from weakbruhat.perm import all_permutations, identity, longest_element, parse_permutation
@@ -195,6 +195,41 @@ def test_interval_past_the_bfs_guard(capsys, monkeypatch):
         code, out, err = run(capsys, "interval", word, "--side", "below", flag)
         assert code == 1 and out == ""
         assert "--force" in err
+
+
+def test_budget_refuses_separable_words_before_any_walk(capsys, monkeypatch):
+    # the block recursion counts a separable word's intervals, so a
+    # command past the budget is refused without walking a single word
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval enumerated")
+
+    monkeypatch.setattr(cli, "interval", refuse)
+    monkeypatch.setattr(bijection, "interval", refuse)
+    w0 = ",".join(str(a) for a in range(100, 0, -1))
+    e = ",".join(str(a) for a in range(1, 101))
+    for argv in (
+        ("interval", w0, "--dot"),
+        ("interval", w0, "--json"),
+        ("interval", "10,9,8,7,6,5,4,3,2,1,11", "--dot"),
+        ("bijection", e),
+        ("bijection", e, "--table"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "budget" in err and "--force" in err
+
+
+def test_budget_refuses_non_separable_words_during_the_walk(capsys, monkeypatch):
+    # a non-separable word is not counted beforehand: its walk refuses
+    # once it passes the budget
+    word = "2,4,1,3,5,6,7,8,9,10,11"
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 50)
+    for argv in (("interval", word, "--side", "above", "--dot"), ("bijection", word)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "budget" in err and "--force" in err
+    code, out, _ = run(capsys, "interval", word, "--dot")
+    assert code == 0 and word in out
 
 
 def test_small_interval_of_a_long_word_lists_without_force(capsys):
@@ -408,6 +443,8 @@ def test_force_prints_memory_note(capsys):
         ("survey", "--n", "4", "--workers", "-2"),
         ("survey", "--n", "4", "--workers", "0"),
         ("survey", "--n", "3", "--resume"),
+        ("--force", "survey", "--n", "4", "--workers", "0"),
+        ("--force", "survey", "--n", "3", "--resume"),
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):

@@ -2,6 +2,8 @@
 the three formula routes for interval generating functions, all pinned
 to hand-checked fixtures and to brute-force enumeration."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from weakbruhat.separable import (
     gf_below_231,
     gf_below_closed,
     gf_below_recursive,
+    interval_sizes,
     is_separable,
     separating_tree,
     tree_dot,
@@ -187,6 +190,25 @@ def test_formulas_match_brute_force(n):
     for pi in separable_words(n):
         assert gf_below_recursive(pi) == rank_gf(interval(e, pi))
         assert gf_above_recursive(pi) == rank_gf(interval(pi, w0))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_sizes_match_brute_force(n):
+    e, w0 = identity(n), longest_element(n)
+    for pi in all_permutations(n):
+        if not is_separable(pi):
+            with pytest.raises(NotSeparable, match=str(pi)):
+                interval_sizes(pi)
+            continue
+        assert interval_sizes(pi) == (interval(e, pi).size, interval(pi, w0).size)
+
+
+def test_interval_sizes_of_long_words():
+    # the counts need no polynomial, so they stay cheap far past any walk
+    assert interval_sizes(longest_element(300)) == (factorial(300), 1)
+    assert interval_sizes(identity(300)) == (1, factorial(300))
+    pi = Permutation((*range(150, 0, -1), *range(151, 301)))
+    assert interval_sizes(pi) == (factorial(150), factorial(300) // factorial(150))
 
 
 def test_nonseparable_rejected():

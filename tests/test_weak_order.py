@@ -2,6 +2,7 @@
 against each other and against direct replay of the definitions."""
 
 import random
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -49,6 +50,21 @@ def test_interval_errors(monkeypatch):
     monkeypatch.setattr(weak_order, "WORD_BUDGET", 100)
     with pytest.raises(GuardExceeded, match="force"):
         interval(identity(11), longest_element(11))
+
+
+def test_refused_walk_stops_inside_a_rank(monkeypatch):
+    # [id, w0] at n = 300 has about 45,000 words of length 2, some 110 MB
+    # of 300-letter tuples; on a budget of 1,000 the walk stops within
+    # n - 1 words of the budget, long before that rank is complete
+    monkeypatch.setattr(weak_order, "WORD_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="force"):
+            interval(identity(300), longest_element(300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_interval_budget_is_exact(monkeypatch):

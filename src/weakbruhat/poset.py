@@ -19,6 +19,8 @@ statistics and linear extensions of posets", 1991).  Deleting the
 minimal letter e from an inversion poset P(pi) leaves the inversion
 poset of pi with e deleted, renumbered, so the words of S_n share their
 sub-posets; the small ones are kept in one table that all calls share.
+The generating functions are packed integers, one slot per coefficient,
+through qpoly's pack_width and IntPoly.from_packed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .errors import GuardExceeded
 from .perm import Permutation
-from .qpoly import IntPoly
+from .qpoly import IntPoly, pack_width
 
 SIZE_GUARD = 10  # linear extension work is exponential beyond this
 OP_SIZE_GUARD = 8
@@ -195,18 +197,10 @@ def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
     return [Permutation(w) for w in _extension_words(p)]
 
 
-def _pack_width(n: int) -> int:
-    """Fewest bits per coefficient slot that le_gf needs for an n-element
-    poset.  Every coefficient of a sub-poset's generating function counts
-    some of its linear extensions, so it is at most n! and never carries
-    into the next slot."""
-    return factorial(n).bit_length() + 1
-
-
 # Packed generating functions of the sub-posets with at most
 # _SHARED_MAX elements, keyed on their closed masks and shared by every
 # le_gf call in the process.  Their slots are _SHARED_WIDTH bits wide,
-# so calls on posets with _pack_width(n) > _SHARED_WIDTH (n > 20) leave
+# so calls on posets with pack_width(n) > _SHARED_WIDTH (n > 20) leave
 # the table alone.  Sub-posets of size one or less are not stored, so
 # filled by inversion posets alone (the survey, the CLI) it holds at most
 # _SHARED_BOUND = 2! + 3! + ... + 7! = 5,912 entries.  Other posets could
@@ -268,16 +262,10 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
     _check_size(p, force)
     if len(_shared_le) > _SHARED_BOUND:
         _shared_le.clear()
-    width = max(_SHARED_WIDTH, _pack_width(p.size))
+    width = pack_width(p.size)
     local: dict[tuple[int, ...], int] = {}
     shared = _shared_le if width == _SHARED_WIDTH else local
-    packed = _le_packed(p._gt, width, local, shared)
-    mask = (1 << width) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & mask)
-        packed >>= width
-    return IntPoly(coeffs)
+    return IntPoly.from_packed(_le_packed(p._gt, width, local, shared), width)
 
 
 def descent_gf(p: Poset, force: bool = False) -> IntPoly:

@@ -7,6 +7,15 @@ offered only in exact form: IntPoly.exact_div raises NonzeroRemainder
 when the divisor does not divide, so a try/except around it doubles as
 the divisibility test used elsewhere in the package.
 
+Products go through packed integers (Kronecker substitution): a
+polynomial evaluated at q = 2^width is one int, a slot of width bits
+per coefficient, and one int product multiplies two polynomials when
+the slots are wide enough that no coefficient of the product spills
+into the next.  IntPoly.packed and IntPoly.from_packed convert, with
+signed slots, and pack_width gives the slot width that generating
+functions of intervals and posets on n elements need; poset.le_gf and
+the block recursion in separable compute on packed values throughout.
+
 >>> print(q_factorial(3))
 1 + 2*q + 2*q^2 + q^3
 >>> print(q_binomial(4, 2))
@@ -18,6 +27,7 @@ the divisibility test used elsewhere in the package.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from typing import Iterable
 
 from .errors import NonzeroRemainder
@@ -64,13 +74,46 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return IntPoly(out)
+        # every coefficient of the product is a sum of at most min(len)
+        # terms, each at most max|a| * max|b| in size
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = bound.bit_length() + 1
+        return IntPoly.from_packed(self.packed(width) * other.packed(width), width)
+
+    def packed(self, width: int) -> int:
+        """The value at q = 2^width: one slot of width bits per
+        coefficient, read back by from_packed while every coefficient
+        lies in [-2^(width-1), 2^(width-1)).
+
+        >>> IntPoly((1, -1, 2)).packed(8)
+        130817
+        """
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc << width) + c
+        return acc
+
+    @classmethod
+    def from_packed(cls, value: int, width: int) -> "IntPoly":
+        """The polynomial whose value at q = 2^width is value, reading
+        each slot as a signed coefficient in [-2^(width-1), 2^(width-1)).
+
+        >>> IntPoly.from_packed(130817, 8)
+        IntPoly((1, -1, 2))
+        """
+        if width < 2:  # a one-bit signed slot holds only -1 and 0
+            raise ValueError(f"slot width must be at least 2, got {width}")
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        coeffs = []
+        while value:
+            c = value & mask
+            value >>= width
+            if c >= half:  # a negative coefficient borrowed from the next slot
+                c -= mask + 1
+                value += 1
+            coeffs.append(c)
+        return cls(coeffs)
 
     def evaluate(self, x: int) -> int:
         """Value at an integer point, by Horner's rule.
@@ -175,6 +218,20 @@ class IntPoly:
 
 
 ONE = IntPoly((1,))
+
+
+def pack_width(n: int) -> int:
+    """Slot width for packed generating functions of intervals of S_n
+    and of posets on n elements, and of every factor met on the way to
+    one.  Each coefficient counts some of at most n! linear extensions
+    or interval elements, so it is below 2^(width-1) and never spills
+    into the next slot.  At least 64 bits, so every n <= 20 shares one
+    width and the tables keyed on it.
+
+    >>> pack_width(8), pack_width(21)
+    (64, 67)
+    """
+    return max(64, factorial(n).bit_length() + 1)
 
 
 def q_int(i: int) -> IntPoly:

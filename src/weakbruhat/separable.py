@@ -5,17 +5,21 @@ A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
 values of its block.  Such a split is positive (the prefix holds the
 low values: a direct sum) or negative (the high values: a skew sum).
-One function, _split, finds it; recognition, the separating tree, the
-block recursion and bijection.invert_phi all recurse on the two halves
-it returns, splitting at the smallest prefix block until every block
-is a single letter.  The tree records each split's sign at its
-internal node.  The classical characterisation, that
-the separable permutations are exactly those avoiding 3142 and 2413, is
-kept as a cross-check in the tests.  Two independent evaluation routes
-are kept side by side on purpose: a recursion over block splits, and a
-closed formula read off the tree.  Tests confirm they agree with each
-other and with brute-force interval enumeration.  interval_sizes runs
-the recursion at q = 1, for the two interval sizes alone.
+One function, _split, finds it; the separating tree, the block
+recursion, interval_sizes and bijection.invert_phi all recurse on the
+two halves it returns, splitting at the smallest prefix block until
+every block is a single letter.  The tree records each split's sign at
+its internal node.  Recognition does not recurse: is_separable reads
+the word once, left to right, merging value blocks on a stack.  The
+classical characterisation, that the separable permutations are
+exactly those avoiding 3142 and 2413, is kept as a cross-check in the
+tests.  Two independent evaluation routes are kept side by side on
+purpose: a recursion over block splits, and a closed formula read off
+the tree.  Tests confirm they agree with each other and with
+brute-force interval enumeration.  The recursion computes on packed
+integers (qpoly.pack_width), one int product per split, and forms one
+IntPoly at the end.  interval_sizes runs the recursion at q = 1, for
+the two interval sizes alone.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -25,12 +29,13 @@ interval [pi, w0] is its complement dual: read backwards it is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Union
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation
-from .qpoly import ONE, IntPoly, q_binomial, q_factorial, q_int
+from .qpoly import ONE, IntPoly, pack_width, q_binomial, q_factorial, q_int
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -39,17 +44,37 @@ NEGATIVE = "negative"
 def is_separable(pi: Permutation) -> bool:
     """True when pi splits into prefix blocks at every level.
 
-    This is equivalent to avoiding 3142 and 2413: both patterns are
-    indecomposable under direct and skew sums, so every occurrence lies
-    inside one side of a split.  Both sides of a split are patterns of
-    pi, so taking the smallest split at each level loses nothing.
+    One pass, left to right (the stack reduction of Bose, Buss and
+    Lubiw, "Pattern matching for permutations", 1998): each letter
+    comes in as a block of one value, and while the top two blocks of
+    the stack hold abutting value ranges they merge into one.  pi is
+    separable exactly when one block is left.  The merges build a
+    separating tree bottom up, so one block means separable.  Conversely
+    no two adjacent blocks left on the stack abut, and one letter from
+    each block spells a pattern of pi, which is separable when pi is.
+    A separable word of two or more letters has two adjacent letters
+    with consecutive values (the two leaves below a deepest internal
+    node of its tree), so a separable pi leaves one block.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
     >>> is_separable(Permutation((2, 4, 1, 3)))
     False
     """
-    return _splits(pi.word, 1, pi.size)
+    stack = []  # (lowest, highest) value of each block, left to right
+    for a in pi.word:
+        lo = hi = a
+        while stack:
+            below_lo, below_hi = stack[-1]
+            if below_hi + 1 == lo:
+                lo = below_lo
+            elif hi + 1 == below_lo:
+                hi = below_hi
+            else:
+                break
+            stack.pop()
+        stack.append((lo, hi))
+    return len(stack) == 1
 
 
 def _split(word, lo: int, hi: int, largest: bool = False):
@@ -78,13 +103,6 @@ def _split(word, lo: int, hi: int, largest: bool = False):
     if low:
         return POSITIVE, (word[:m], lo, lo + m - 1), (word[m:], lo + m, hi)
     return NEGATIVE, (word[:m], hi - m + 1, hi), (word[m:], lo, hi - m)
-
-
-def _splits(word, lo: int, hi: int) -> bool:
-    if len(word) == 1:
-        return True
-    split = _split(word, lo, hi)
-    return split is not None and _splits(*split[1]) and _splits(*split[2])
 
 
 @dataclass(frozen=True)
@@ -174,24 +192,32 @@ def gf_above_closed(root: TreeNode) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-def _below_rec(word, lo: int, hi: int) -> IntPoly:
-    if len(word) == 1:
-        return ONE
-    split = _split(word, lo, hi)
-    if split is None:
-        raise NotSeparable(f"block {word} has no prefix split")
-    sign, left, right = split
-    value = _below_rec(*left) * _below_rec(*right)
-    if sign == NEGATIVE:
-        value = q_binomial(len(word), len(left[0])) * value
-    return value
+# Gaussian binomials at the recursion's slot width; one width serves
+# every n <= 20, so the keys are the O(n^2) pairs (n, m).
+@lru_cache(maxsize=None)
+def _packed_binomial(n: int, m: int, width: int) -> int:
+    return q_binomial(n, m).packed(width)
 
 
 def _recursion(pi: Permutation, word) -> IntPoly:
-    try:
-        return _below_rec(word, 1, len(word))
-    except NotSeparable as exc:
-        raise NotSeparable(f"{pi} is not separable: {exc}") from None
+    # each value below is the generating function of an interval, or of
+    # a product of two, on at most n letters: its coefficients count at
+    # most n! elements, so pack_width's slots never spill
+    width = pack_width(len(word))
+
+    def below(word, lo: int, hi: int) -> int:
+        if len(word) == 1:
+            return 1
+        split = _split(word, lo, hi)
+        if split is None:
+            raise NotSeparable(f"{pi} is not separable: block {word} has no prefix split")
+        sign, left, right = split
+        value = below(*left) * below(*right)
+        if sign == NEGATIVE:
+            value *= _packed_binomial(len(word), len(left[0]), width)
+        return value
+
+    return IntPoly.from_packed(below(word, 1, len(word)), width)
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:

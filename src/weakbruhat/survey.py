@@ -81,9 +81,14 @@ def schroder(k: int) -> int:
 
 # Per-process memo: many permutations share one generating function,
 # and the cyclotomic factoring is the expensive predicate.  Divisibility
-# is against [n]!, so n is part of the key.
+# is against [n]!, so n is part of the key.  The sign check of the
+# generating function is a function of its coefficients alone, so it
+# runs here, once per distinct polynomial; a failed check raises, and
+# nothing is cached for it.
 @lru_cache(maxsize=None)
 def _predicates(coeffs: tuple[int, ...], n: int) -> tuple[bool, bool, bool, bool]:
+    if any(c < 0 for c in coeffs):
+        raise AssertionError(f"malformed generating function: negative coefficients {coeffs}")
     gf = IntPoly(coeffs)
     sym = gf.is_symmetric()
     uni = gf.is_unimodal()
@@ -113,7 +118,7 @@ def _record_tuple(word: tuple[int, ...]):
     pi = Permutation(word)
     sep = is_separable(pi)
     gf = _gf_below(pi)
-    if gf.coeffs[0] != 1 or gf.degree != pi.length or any(c < 0 for c in gf.coeffs):
+    if gf.coeffs[0] != 1 or gf.degree != pi.length:
         raise AssertionError(f"malformed generating function for {pi}: {gf.coeffs}")
     sym, uni, cyc, div = _predicates(gf.coeffs, pi.size)
     return (str(pi), sep, gf.coeffs, sym, uni, cyc, div)
@@ -151,7 +156,7 @@ def _check_scan_args(
 
 def _format_row(rec) -> str:
     word, sep, coeffs, sym, uni, cyc, div = rec
-    gf = ";".join(str(c) for c in coeffs)
+    gf = ";".join(map(str, coeffs))
     f = ["true" if b else "false" for b in (sep, sym, uni, cyc, div)]
     return f"{word},{f[0]},{gf},{f[1]},{f[2]},{f[3]},{f[4]}\n"
 
@@ -244,11 +249,11 @@ def scan(
             sink.truncate(nbytes)
             sink.seek(nbytes)
         for chunk in _iter_chunk_results(n, workers, completed):
+            block = "".join(map(_format_row, chunk)).encode()
+            sink.write(block)
+            hasher.update(block)
+            nbytes += len(block)
             for rec in chunk:
-                row = _format_row(rec).encode()
-                sink.write(row)
-                hasher.update(row)
-                nbytes += len(row)
                 counts.add(rec)
             completed += len(chunk)
             sink.flush()

@@ -17,7 +17,6 @@ from weakbruhat.poset import (
     Poset,
     _ideal_masks,
     _op_values_bruteforce,
-    _pack_width,
     descent_gf,
     disjoint_union,
     inversion_poset,
@@ -26,7 +25,7 @@ from weakbruhat.poset import (
     order_polynomial_values,
     ordinal_sum,
 )
-from weakbruhat.qpoly import ONE, q_binomial, q_factorial
+from weakbruhat.qpoly import ONE, pack_width, q_binomial, q_factorial
 from weakbruhat.verify import _all_posets
 
 
@@ -162,12 +161,13 @@ def test_le_gf_exact_past_64_bit_coefficients():
 
 def test_pack_width_holds_every_coefficient():
     # [n]! is the antichain's generating function; its largest
-    # coefficient first needs more than 64 bits at n = 22.
+    # coefficient first needs more than 64 bits at n = 22.  Slots are
+    # read back as signed, so a coefficient must stay below the top bit.
     assert max(q_factorial(21).coeffs) < 2**64 <= max(q_factorial(22).coeffs)
-    assert _pack_width(20) <= 64 < _pack_width(21)
+    assert pack_width(20) == 64 < pack_width(21)
     for n in range(1, 30):
-        assert factorial(n) < 2 ** _pack_width(n)
-        assert max(q_factorial(n).coeffs) < 2 ** _pack_width(n)
+        assert factorial(n) < 2 ** (pack_width(n) - 1)
+        assert max(q_factorial(n).coeffs) < 2 ** (pack_width(n) - 1)
 
 
 @st.composite

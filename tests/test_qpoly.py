@@ -7,7 +7,7 @@ from itertools import permutations, zip_longest
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbruhat.errors import NonzeroRemainder
@@ -208,3 +208,93 @@ def test_exact_div_inverts_multiplication(a, b):
 def test_reverse_is_an_involution(c):
     p = IntPoly(c)
     assert p.reverse().reverse() == p
+
+
+# -- packed products --------------------------------------------------------
+#
+# IntPoly.__mul__ multiplies two packed integers (Kronecker substitution)
+# and reads the product back as signed slots.  The reference below is the
+# schoolbook double loop, kept here and nowhere else.
+
+
+def schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+big_coeff_lists = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40)
+
+
+@settings(max_examples=300)
+@given(big_coeff_lists, big_coeff_lists)
+def test_mul_matches_schoolbook(a, b):
+    f, g = IntPoly(a), IntPoly(b)
+    assert (f * g).coeffs == schoolbook(f.coeffs, g.coeffs)
+
+
+@st.composite
+def factors_at_slot_edge(draw):
+    """Two factors whose product has coefficients of magnitude equal to
+    the bound the slot width is chosen from, max|a| * max|b| * min(len),
+    with that bound a power of two or one less: a coefficient at the
+    top of its slot, either sign, beside a slot that may borrow from it."""
+    length = draw(st.sampled_from((1, 2, 4, 8, 16, 32)))
+    k = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        m = 2**k  # bound 2^(k + log2 length)
+    else:
+        m, length = 2**k - 1, 1  # bound 2^k - 1, the largest value of k bits
+    sign_a = draw(st.sampled_from((1, -1)))
+    a = [sign_a * m] * length
+    b = [draw(st.sampled_from((1, -1)))] * draw(st.integers(length, 40))
+    if draw(st.booleans()):  # an alternating factor borrows in every slot
+        a = [c if i % 2 == 0 else -c for i, c in enumerate(a)]
+    return a, b
+
+
+@settings(max_examples=300)
+@given(factors_at_slot_edge())
+def test_mul_exact_at_the_slot_edge(factors):
+    a, b = factors
+    want = schoolbook(a, b)
+    assert (IntPoly(a) * IntPoly(b)).coeffs == want
+    assert (IntPoly(b) * IntPoly(a)).coeffs == want
+
+
+def test_from_packed_rejects_one_bit_slots():
+    with pytest.raises(ValueError):
+        IntPoly.from_packed(1, 1)
+
+
+def test_mul_fixtures_with_negative_coefficients():
+    assert IntPoly((-1, 1)) * IntPoly((1, 1)) == IntPoly((-1, 0, 1))
+    assert cyclotomic(1) * cyclotomic(2) * cyclotomic(4) == IntPoly((-1, 0, 0, 0, 1))
+    assert IntPoly((-1,)) * IntPoly((-1,)) == ONE
+    assert IntPoly((0, -(2**64))) * IntPoly((2**64,)) == IntPoly((0, -(2**128)))
+
+
+@given(
+    st.integers(2, 80).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.lists(
+                st.one_of(
+                    st.integers(-(2 ** (w - 1)), 2 ** (w - 1) - 1),
+                    st.sampled_from((-(2 ** (w - 1)), 2 ** (w - 1) - 1, -1)),
+                ),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_packed_round_trip(width_coeffs):
+    width, coeffs = width_coeffs
+    p = IntPoly(coeffs)
+    assert p.packed(width) == p.evaluate(2**width)
+    assert IntPoly.from_packed(p.packed(width), width) == p
+

@@ -52,6 +52,16 @@ def separable_word(draw, n):
     return tuple(a + n - m for a in left) + right
 
 
+@st.composite
+def near_separable_word(draw, n):
+    """A separable word with two of its letters swapped: most such words
+    are not separable, and many miss by one occurrence of a pattern."""
+    word = list(draw(separable_word(n)))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    word[i], word[j] = word[j], word[i]
+    return tuple(word)
+
+
 def test_is_separable_fixtures():
     assert not is_separable(Permutation((2, 4, 1, 3)))
     assert not is_separable(Permutation((3, 1, 4, 2)))
@@ -66,10 +76,12 @@ def test_is_separable_matches_pattern_avoidance(n):
         assert is_separable(pi) == avoids_3142_and_2413(pi), pi
 
 
-@settings(max_examples=60)
+@settings(max_examples=200)
 @given(
     st.integers(9, 14).flatmap(
-        lambda n: st.one_of(st.permutations(range(1, n + 1)), separable_word(n))
+        lambda n: st.one_of(
+            st.permutations(range(1, n + 1)), separable_word(n), near_separable_word(n)
+        )
     )
 )
 def test_is_separable_matches_pattern_avoidance_beyond_exhaustive(word):
@@ -98,6 +110,16 @@ def test_recursions_reject_exactly_the_nonseparable_words(n):
         for route in (gf_below_recursive, gf_above_recursive):
             with pytest.raises(NotSeparable, match=str(pi)):
                 route(pi)
+
+
+def test_packed_recursion_exact_past_64_bit_slots():
+    # [n]! has a coefficient of more than 64 bits from n = 22 on, where
+    # the recursion's slots widen past the shared 64
+    w0 = longest_element(25)
+    assert max(q_factorial(25).coeffs).bit_length() > 64
+    assert gf_below_recursive(w0) == q_factorial(25) == gf_above_recursive(identity(25))
+    pi = Permutation((*range(12, 0, -1), *range(25, 12, -1)))
+    assert gf_below_recursive(pi) == gf_below_closed(separating_tree(pi))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -168,7 +190,7 @@ def test_recursive_fixture_4132():
     assert gf_above_recursive(pi).coeffs == (1, 1, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_all_routes_agree(n):
     fact = q_factorial(n)
     for pi in separable_words(n):

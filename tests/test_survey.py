@@ -342,3 +342,31 @@ def test_record_tuple_rejects_malformed_gf(monkeypatch):
     monkeypatch.setattr(survey, "_gf_below", lambda pi: IntPoly((1, 1, 1)))
     with pytest.raises(AssertionError, match="malformed"):
         survey._record_tuple((2, 1))
+
+
+def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
+    # the sign check runs once per distinct polynomial, in _predicates;
+    # (1, -1, 1) passes the per-word checks of (3, 1, 2): constant term
+    # 1, degree 2 = its length
+    from weakbruhat.qpoly import IntPoly
+
+    monkeypatch.setattr(survey, "_gf_below", lambda pi: IntPoly((1, -1, 1)))
+    with pytest.raises(AssertionError, match="malformed"):
+        survey._record_tuple((3, 1, 2))
+    with pytest.raises(AssertionError, match="malformed"):
+        survey._record_tuple((3, 1, 2))  # a failed check is never cached
+
+
+def test_memo_tables_hold_quadratically_many_entries():
+    # every key of these tables is O(n^2): a pair (n, m), or an order d
+    # with phi(d) at most the degree n(n-1)/2
+    from weakbruhat import separable
+    from weakbruhat.qpoly import cyclotomic, q_binomial
+
+    n = 7
+    tables = (q_binomial, cyclotomic, separable._packed_binomial)
+    for table in (*tables, survey._predicates):
+        table.cache_clear()
+    scan(n, workers=1)
+    for table in tables:
+        assert 0 < table.cache_info().currsize <= (n + 1) * (n + 2) // 2, table

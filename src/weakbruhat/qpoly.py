@@ -7,14 +7,10 @@ offered only in exact form: IntPoly.exact_div raises NonzeroRemainder
 when the divisor does not divide, so a try/except around it doubles as
 the divisibility test used elsewhere in the package.
 
-Products go through packed integers (Kronecker substitution): a
-polynomial evaluated at q = 2^width is one int, a slot of width bits
-per coefficient, and one int product multiplies two polynomials when
-the slots are wide enough that no coefficient of the product spills
-into the next.  IntPoly.packed and IntPoly.from_packed convert, with
-signed slots, and pack_width gives the slot width that generating
-functions of intervals and posets on n elements need; poset.le_gf and
-the block recursion in separable compute on packed values throughout.
+Products go through packed integers (Kronecker substitution): at
+q = 2^width a polynomial is one int with a signed slot per coefficient,
+so one int product multiplies two polynomials whose product fits the
+slots.  le_gf and the block recursion compute on such ints throughout.
 
 >>> print(q_factorial(3))
 1 + 2*q + 2*q^2 + q^3
@@ -81,9 +77,7 @@ class IntPoly:
         return IntPoly.from_packed(self.packed(width) * other.packed(width), width)
 
     def packed(self, width: int) -> int:
-        """The value at q = 2^width: one slot of width bits per
-        coefficient, read back by from_packed while every coefficient
-        lies in [-2^(width-1), 2^(width-1)).
+        """The value at q = 2^width: one width-bit slot per coefficient.
 
         >>> IntPoly((1, -1, 2)).packed(8)
         130817
@@ -95,8 +89,8 @@ class IntPoly:
 
     @classmethod
     def from_packed(cls, value: int, width: int) -> "IntPoly":
-        """The polynomial whose value at q = 2^width is value, reading
-        each slot as a signed coefficient in [-2^(width-1), 2^(width-1)).
+        """Inverse of packed, each slot read as signed: every coefficient
+        must lie in [-2^(width-1), 2^(width-1)).
 
         >>> IntPoly.from_packed(130817, 8)
         IntPoly((1, -1, 2))
@@ -221,12 +215,10 @@ ONE = IntPoly((1,))
 
 
 def pack_width(n: int) -> int:
-    """Slot width for packed generating functions of intervals of S_n
-    and of posets on n elements, and of every factor met on the way to
-    one.  Each coefficient counts some of at most n! linear extensions
-    or interval elements, so it is below 2^(width-1) and never spills
-    into the next slot.  At least 64 bits, so every n <= 20 shares one
-    width and the tables keyed on it.
+    """Slot width for generating functions of posets on n elements and
+    intervals of S_n: a coefficient counts at most n! extensions or
+    elements, so it stays below the sign bit.  At least 64, so every
+    n <= 20 shares one width and the tables keyed on it.
 
     >>> pack_width(8), pack_width(21)
     (64, 67)

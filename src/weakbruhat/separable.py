@@ -49,12 +49,10 @@ def is_separable(pi: Permutation) -> bool:
     comes in as a block of one value, and while the top two blocks of
     the stack hold abutting value ranges they merge into one.  pi is
     separable exactly when one block is left.  The merges build a
-    separating tree bottom up, so one block means separable.  Conversely
-    no two adjacent blocks left on the stack abut, and one letter from
-    each block spells a pattern of pi, which is separable when pi is.
-    A separable word of two or more letters has two adjacent letters
-    with consecutive values (the two leaves below a deepest internal
-    node of its tree), so a separable pi leaves one block.
+    separating tree; and if k >= 2 blocks are left, one letter from each
+    spells a pattern of pi in which no two adjacent letters have
+    consecutive values, while in a separable word the two leaves below
+    a deepest node of its tree do.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
@@ -199,12 +197,10 @@ def _packed_binomial(n: int, m: int, width: int) -> int:
     return q_binomial(n, m).packed(width)
 
 
-def _recursion(pi: Permutation, word) -> IntPoly:
-    # each value below is the generating function of an interval, or of
-    # a product of two, on at most n letters: its coefficients count at
-    # most n! elements, so pack_width's slots never spill
-    width = pack_width(len(word))
-
+def _block_product(pi: Permutation, word, binomial) -> int:
+    """The lower recursion on word (pi's, or its complement's) evaluated
+    at one point q: binomial(k, m) is the Gaussian binomial [k, m] at
+    that q.  Raises NotSeparable at the first block with no split."""
     def below(word, lo: int, hi: int) -> int:
         if len(word) == 1:
             return 1
@@ -214,10 +210,19 @@ def _recursion(pi: Permutation, word) -> IntPoly:
         sign, left, right = split
         value = below(*left) * below(*right)
         if sign == NEGATIVE:
-            value *= _packed_binomial(len(word), len(left[0]), width)
+            value *= binomial(len(word), len(left[0]))
         return value
 
-    return IntPoly.from_packed(below(word, 1, len(word)), width)
+    return below(word, 1, len(word))
+
+
+def _recursion(pi: Permutation, word) -> IntPoly:
+    # evaluated at q = 2^width, where the polynomial is its packed int:
+    # every value counts at most n! interval elements (pairs of them,
+    # before a binomial), so pack_width's slots never spill
+    width = pack_width(len(word))
+    packed = _block_product(pi, word, lambda k, m: _packed_binomial(k, m, width))
+    return IntPoly.from_packed(packed, width)
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:
@@ -246,17 +251,7 @@ def interval_sizes(pi: Permutation) -> tuple[int, int]:
     >>> interval_sizes(Permutation((4, 1, 3, 2)))
     (8, 3)
     """
-    def size(word, lo: int, hi: int) -> int:
-        if len(word) == 1:
-            return 1
-        split = _split(word, lo, hi)
-        if split is None:
-            raise NotSeparable(f"{pi} is not separable: block {word} has no prefix split")
-        sign, left, right = split
-        value = size(*left) * size(*right)
-        return comb(len(word), len(left[0])) * value if sign == NEGATIVE else value
-
-    return size(pi.word, 1, pi.size), size(pi.complement().word, 1, pi.size)
+    return _block_product(pi, pi.word, comb), _block_product(pi, pi.complement().word, comb)
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

@@ -190,8 +190,10 @@ def gf_above_closed(root: TreeNode) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-# Gaussian binomials at the recursion's slot width; one width serves
-# every n <= 20, so the keys are the O(n^2) pairs (n, m).
+# Gaussian binomials of the blocks, packed at the slot width of the
+# whole word.  Every word of at most 20 letters shares width 64, so for
+# them the keys are the O(n^2) pairs (n, m); each longer word length
+# adds its own width.
 @lru_cache(maxsize=None)
 def _packed_binomial(n: int, m: int, width: int) -> int:
     return q_binomial(n, m).packed(width)

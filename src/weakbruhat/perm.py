@@ -122,6 +122,29 @@ class Permutation:
         return False
 
 
+def avoids_231(word: tuple[int, ...]) -> bool:
+    """True when no letters b, c, a appear in that order with a < b < c.
+
+    Knuth's stack sort, in one pass: a word avoids 231 exactly when one
+    stack sorts it.  Each letter pops the smaller letters off the stack
+    into the output, then goes on; the sort fails when a letter comes in
+    below one already output, which then was popped by a larger letter
+    between the two.  contains_pattern((2, 3, 1)) is the reference.
+
+    >>> avoids_231((1, 4, 2, 3, 6, 5)), avoids_231((2, 4, 1, 3))
+    (True, False)
+    """
+    stack = []
+    out = 0  # the last letter output
+    for a in word:
+        if a < out:
+            return False
+        while stack and stack[-1] < a:
+            out = stack.pop()
+        stack.append(a)
+    return True
+
+
 def positions(word: tuple[int, ...]) -> list[int]:
     """pos[a] is the position of letter a in word, counted from 1, and
     pos[0] is unused; pos[1:] is the word of the inverse.

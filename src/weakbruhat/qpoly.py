@@ -22,6 +22,7 @@ slots.  le_gf and the block recursion compute on such ints throughout.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import factorial
 from typing import Iterable
@@ -72,8 +73,10 @@ class IntPoly:
             return IntPoly()
         # every coefficient of the product is a sum of at most min(len)
         # terms, each at most max|a| * max|b| in size
+        # (at least 64 bits, so that from_packed can read the slots as
+        # machine words)
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = bound.bit_length() + 1
+        width = max(64, bound.bit_length() + 1)
         return IntPoly.from_packed(self.packed(width) * other.packed(width), width)
 
     def packed(self, width: int) -> int:
@@ -97,6 +100,16 @@ class IntPoly:
         """
         if width < 2:  # a one-bit signed slot holds only -1 and 0
             raise ValueError(f"slot width must be at least 2, got {width}")
+        if width == 64 and value > 0:
+            # all slots at once, as unsigned machine words; they are the
+            # coefficients unless one is negative, and so borrowed.  The
+            # top slot is nonzero, as bit_length sized the bytes.
+            size = 8 * ((value.bit_length() + 63) >> 6)
+            slots = tuple(memoryview(value.to_bytes(size, sys.byteorder)).cast("Q"))
+            if max(slots) < 1 << 63:
+                poly = object.__new__(cls)
+                poly.coeffs = slots
+                return poly
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         coeffs = []

@@ -34,7 +34,7 @@ from math import comb
 from typing import Union
 
 from .errors import Not231Avoiding, NotSeparable
-from .perm import Permutation
+from .perm import Permutation, avoids_231
 from .qpoly import ONE, IntPoly, pack_width, q_binomial, q_factorial, q_int
 
 POSITIVE = "positive"
@@ -265,7 +265,7 @@ def gf_below_231(pi: Permutation) -> IntPoly:
     >>> print(gf_below_231(Permutation((1, 4, 2, 3, 6, 5))))
     1 + 2*q + 2*q^2 + q^3
     """
-    if pi.contains_pattern((2, 3, 1)):
+    if not avoids_231(pi.word):
         raise Not231Avoiding(f"{pi} contains 231")
     w = pi.word
     n = len(w)

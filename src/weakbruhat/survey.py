@@ -7,12 +7,15 @@ non-separable ones go through linear extensions of the inversion poset.
 That is the only record route; interval BFS stays as the cross-check in
 `verify ff` and the tests.  Every scan, with or without an output file,
 consumes one chunk stream (serial at one worker, a fork pool
-otherwise), in lexicographic word order, so output files are
-deterministic and a checkpoint (record count plus a running SHA-256 of
-the emitted bytes) makes interrupted runs resumable with byte-identical
-results.  A resume, of a finished run or not, truncates the data file to
-the checkpointed prefix, recounts the summary from those rows and
-streams whatever records remain.
+otherwise), in lexicographic word order.  Each chunk comes back as its
+encoded CSV rows, one bytes block, plus its counts: the worker formats
+the rows (a row's tail after the separable flag is cached once per
+polynomial), and the parent only writes, hashes, fsyncs and adds up.
+So output files are deterministic, and a checkpoint (record count plus
+a running SHA-256 of the emitted bytes) makes interrupted runs
+resumable with byte-identical results.  A resume, of a finished run or
+not, truncates the data file to the checkpointed prefix, recounts the
+summary from those rows and streams whatever records remain.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ SURVEY_HARD_LIMIT = 9
 _CHUNK = 512
 
 CSV_HEADER = "word,separable,gf,symmetric,unimodal,cyclotomic,divides\n"
+_FLAG = {True: "true", False: "false"}
+_FLAG_OF = {"true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,9 @@ def schroder(k: int) -> int:
 # runs here, once per distinct polynomial; a failed check raises, and
 # nothing is cached for it.
 @lru_cache(maxsize=None)
-def _predicates(coeffs: tuple[int, ...], n: int) -> tuple[bool, bool, bool, bool]:
+def _predicates(coeffs: tuple[int, ...], n: int) -> tuple[str, bool, bool, bool]:
+    """The row's text after its separable flag, `,gf,sym,uni,cyc,div`
+    and the newline, and the count flags of _count_flags."""
     if any(c < 0 for c in coeffs):
         raise AssertionError(f"malformed generating function: negative coefficients {coeffs}")
     gf = IntPoly(coeffs)
@@ -104,7 +111,15 @@ def _predicates(coeffs: tuple[int, ...], n: int) -> tuple[bool, bool, bool, bool
             div = True
         except NonzeroRemainder:
             pass
-    return sym, uni, cyc, div
+    f = [_FLAG[b] for b in (sym, uni, cyc, div)]
+    tail = f",{';'.join(map(str, coeffs))},{f[0]},{f[1]},{f[2]},{f[3]}\n"
+    return (tail, *_count_flags(sym, cyc, div))
+
+
+def _count_flags(sym: bool, cyc: bool, div: bool) -> tuple[bool, bool, bool]:
+    """Rank-symmetric; symmetric and cyclotomic; symmetric and not
+    dividing [n]!: the three summary counts a row's polynomial adds to."""
+    return sym, sym and cyc, sym and not div
 
 
 def _gf_below(pi: Permutation) -> IntPoly:
@@ -114,26 +129,50 @@ def _gf_below(pi: Permutation) -> IntPoly:
     return le_gf(inversion_poset(pi))
 
 
-def _record_tuple(word: tuple[int, ...]):
+def _encode_row(word: tuple[int, ...]):
+    """One word's CSV row, its separable flag and its three count flags."""
     pi = Permutation(word)
     sep = is_separable(pi)
     gf = _gf_below(pi)
     if gf.coeffs[0] != 1 or gf.degree != pi.length:
         raise AssertionError(f"malformed generating function for {pi}: {gf.coeffs}")
-    sym, uni, cyc, div = _predicates(gf.coeffs, pi.size)
-    return (str(pi), sep, gf.coeffs, sym, uni, cyc, div)
+    tail, sym, sym_cyc, sym_nondiv = _predicates(gf.coeffs, pi.size)
+    return _format_row(str(pi), sep, tail), sep, sym, sym_cyc, sym_nondiv
 
 
 def _scan_chunk(words):
-    return [_record_tuple(w) for w in words]
+    """The rows of a chunk of words as one bytes block, the number of
+    words, and the chunk's four counts in _Counts.add order."""
+    rows = []
+    n_sep = n_sym = n_cyc = n_nondiv = 0
+    for word in words:
+        row, sep, sym, sym_cyc, sym_nondiv = _encode_row(word)
+        rows.append(row)
+        n_sep += sep
+        n_sym += sym
+        n_cyc += sym_cyc
+        n_nondiv += sym_nondiv
+    return "".join(rows).encode(), len(rows), (n_sep, n_sym, n_cyc, n_nondiv)
+
+
+def _read_rows(rows):
+    """SurveyRecords from the CSV rows _encode_row writes, read without
+    their newlines.  A row not of that form raises CheckpointError."""
+    for row in rows:
+        try:
+            word, sep, gf, sym, uni, cyc, div = row.split(",")
+            flags = [_FLAG_OF[f] for f in (sep, sym, uni, cyc, div)]
+            poly = IntPoly(map(int, gf.split(";")))
+        except (KeyError, ValueError):
+            raise CheckpointError(f"malformed survey row: {row!r}") from None
+        yield SurveyRecord(word, flags[0], poly, *flags[1:])
 
 
 def iter_records(n: int, force: bool = False):
     """Single-process record stream in lexicographic word order."""
     _check_scan_args(n, force)
-    for chunk in _iter_chunk_results(n, workers=1, start=0):
-        for t in chunk:
-            yield SurveyRecord(t[0], t[1], IntPoly(t[2]), t[3], t[4], t[5], t[6])
+    for block, _, _ in _iter_chunk_results(n, workers=1, start=0):
+        yield from _read_rows(block.decode().splitlines())
 
 
 def _check_scan_args(
@@ -154,11 +193,8 @@ def _check_scan_args(
         raise UsageError("resume needs the CSV path (--out) of the scan to continue")
 
 
-def _format_row(rec) -> str:
-    word, sep, coeffs, sym, uni, cyc, div = rec
-    gf = ";".join(map(str, coeffs))
-    f = ["true" if b else "false" for b in (sep, sym, uni, cyc, div)]
-    return f"{word},{f[0]},{gf},{f[1]},{f[2]},{f[3]},{f[4]}\n"
+def _format_row(word: str, sep: bool, tail: str) -> str:
+    return f"{word},{_FLAG[sep]}{tail}"
 
 
 class _Counts:
@@ -170,18 +206,13 @@ class _Counts:
         self.symmetric_cyclotomic = 0
         self.symmetric_nondividing = 0
 
-    def add(self, rec) -> None:
-        """Count one record: a record tuple, or a CSV row's fields with
-        each flag read as a bool, both in column order."""
-        _, sep, _, sym, _, cyc, div = rec
-        if sep:
-            self.separable += 1
-        if sym:
-            self.symmetric += 1
-            if cyc:
-                self.symmetric_cyclotomic += 1
-            if not div:
-                self.symmetric_nondividing += 1
+    def add(self, sep: int, sym: int, sym_cyc: int, sym_nondiv: int) -> None:
+        """Add counts (or flags) of separable, rank-symmetric,
+        symmetric-cyclotomic and symmetric-nondividing words."""
+        self.separable += sep
+        self.symmetric += sym
+        self.symmetric_cyclotomic += sym_cyc
+        self.symmetric_nondividing += sym_nondiv
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -224,9 +255,8 @@ def scan(
         workers = os.cpu_count() or 1
 
     if out is None:
-        for chunk in _iter_chunk_results(n, workers, 0):
-            for rec in chunk:
-                counts.add(rec)
+        for _, _, chunk_counts in _iter_chunk_results(n, workers, 0):
+            counts.add(*chunk_counts)
         return _make_report(n, counts, t0)
 
     partial = out + ".partial"
@@ -248,14 +278,12 @@ def scan(
         else:
             sink.truncate(nbytes)
             sink.seek(nbytes)
-        for chunk in _iter_chunk_results(n, workers, completed):
-            block = "".join(map(_format_row, chunk)).encode()
+        for block, words, chunk_counts in _iter_chunk_results(n, workers, completed):
             sink.write(block)
             hasher.update(block)
             nbytes += len(block)
-            for rec in chunk:
-                counts.add(rec)
-            completed += len(chunk)
+            counts.add(*chunk_counts)
+            completed += words
             sink.flush()
             os.fsync(sink.fileno())
             _write_checkpoint(ckpt, n, completed, nbytes, hasher.hexdigest())
@@ -327,11 +355,9 @@ def _load_checkpoint(ckpt: str, out: str, partial: str, n: int, counts: _Counts)
             f"{stream} holds {len(lines) - 1} records but the checkpoint "
             f"claims {completed}"
         )
-    for line in islice(lines, 1, None):
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise CheckpointError(f"malformed survey row: {line!r}")
-        counts.add([field == "true" for field in fields])
+    for rec in _read_rows(islice(lines, 1, None)):
+        counts.add(rec.is_separable, *_count_flags(
+            rec.rank_symmetric, rec.cyclotomic_product, rec.divides_qfact))
     return completed, nbytes, hasher
 
 

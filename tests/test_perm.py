@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from weakbruhat.perm import (
     Permutation,
     all_permutations,
+    avoids_231,
     compose,
     identity,
     leq_weak,
@@ -173,6 +174,16 @@ def test_contains_pattern():
     assert not Permutation((3, 2, 1)).contains_pattern((1, 2))
     assert not Permutation((1, 2)).contains_pattern((1, 2, 3))
     assert Permutation((1,)).contains_pattern((1,))
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_stack_sort_231_test_matches_contains_pattern(n):
+    avoiders = 0
+    for pi in all_permutations(n):
+        avoids = avoids_231(pi.word)
+        assert avoids is not pi.contains_pattern((2, 3, 1)), pi
+        avoiders += avoids
+    assert avoiders == factorial(2 * n) // (factorial(n) * factorial(n + 1))  # Catalan
 
 
 def literally_contains(word, pattern):

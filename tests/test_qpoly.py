@@ -298,3 +298,54 @@ def test_packed_round_trip(width_coeffs):
     assert p.packed(width) == p.evaluate(2**width)
     assert IntPoly.from_packed(p.packed(width), width) == p
 
+
+
+# -- 64-bit slots -------------------------------------------------------------
+#
+# At width 64 (pack_width for n <= 20, and every product of small
+# coefficients) from_packed reads all slots at once as machine words when
+# none of them borrowed, and otherwise takes the signed loop.
+
+
+def _assert_round_trip(coeffs, width):
+    p = IntPoly(coeffs)
+    got = IntPoly.from_packed(p.packed(width), width)
+    assert got == p
+    assert type(got.coeffs) is tuple and (not got.coeffs or got.coeffs[-1] != 0)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (),
+        (1,),
+        (0, 0, 7),
+        (2**63 - 1,),
+        (2**63 - 1, 0, 2**63 - 1),
+        (-(2**63),),  # a negative value: the loop
+        (1, -(2**63), 1),  # a slot that borrows: the loop
+        (-1, 0, 1),
+        (2**63 - 1, -(2**63), 2**63 - 1, -(2**63)),
+        tuple(range(1, 30)),
+    ],
+)
+def test_from_packed_at_64_bits(coeffs):
+    _assert_round_trip(coeffs, 64)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1),
+                          st.sampled_from((0, 1, -1, 2**63 - 1, -(2**63)))), max_size=40))
+def test_from_packed_at_64_bits_matches_any_slot_list(coeffs):
+    _assert_round_trip(coeffs, 64)
+
+
+@pytest.mark.parametrize("width", [65, 67])  # pack_width past n = 20
+@given(data=st.data())
+def test_from_packed_past_64_bits(width, data):
+    half = 2 ** (width - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-half, half - 1),
+                                          st.sampled_from((-half, half - 1, 2**63))),
+                                max_size=30))
+    _assert_round_trip(coeffs, width)

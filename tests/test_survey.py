@@ -110,28 +110,32 @@ def test_scan_writes_csv_and_summary(tmp_path):
 
 
 class _Trip:
-    """Raise once a set number of records have been evaluated."""
+    """Raise once a set number of rows have been encoded (in each
+    process: a forked pool worker counts from its copy)."""
 
-    def __init__(self, limit, inner):
+    def __init__(self, limit, inner, exc=KeyboardInterrupt):
         self.limit = limit
         self.inner = inner
+        self.exc = exc
         self.count = 0
 
     def __call__(self, word):
         self.count += 1
         if self.count > self.limit:
-            raise KeyboardInterrupt("simulated interrupt")
+            raise self.exc("simulated interrupt")
         return self.inner(word)
 
 
-def _interrupted_scan(out, monkeypatch):
-    """An S_5 scan into out, in chunks of 16, cut off after 40 records."""
-    monkeypatch.setattr(survey, "_CHUNK", 16)
-    trip = _Trip(40, survey._record_tuple)
-    monkeypatch.setattr(survey, "_record_tuple", trip)
-    with pytest.raises(KeyboardInterrupt):
-        scan(5, out=str(out), workers=1)
-    monkeypatch.setattr(survey, "_record_tuple", trip.inner)
+def _interrupted_scan(out, monkeypatch, n=5, chunk=16, limit=40, workers=1,
+                      exc=KeyboardInterrupt):
+    """An S_n scan into out, in chunks of `chunk`, cut off once a process
+    has encoded `limit` rows."""
+    monkeypatch.setattr(survey, "_CHUNK", chunk)
+    trip = _Trip(limit, survey._encode_row, exc)
+    monkeypatch.setattr(survey, "_encode_row", trip)
+    with pytest.raises(exc):
+        scan(n, out=str(out), workers=workers)
+    monkeypatch.setattr(survey, "_encode_row", trip.inner)
 
 
 def test_resume_after_interrupt_is_byte_identical(tmp_path, monkeypatch):
@@ -167,6 +171,26 @@ def test_resume_from_checkpoint_with_a_mode_key(tmp_path, monkeypatch):
 
     scan(5, out=str(out), resume=True, workers=1)
     assert out.read_bytes() == clean.read_bytes()
+
+
+def test_n7_csv_is_the_same_at_any_worker_count_and_after_resume(tmp_path, monkeypatch):
+    # 5040 words in chunks of 500: ten full chunks and a last one of 40
+    monkeypatch.setattr(survey, "_CHUNK", 500)
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    scan(7, out=str(serial), workers=1)
+    scan(7, out=str(pooled), workers=2)
+    assert pooled.read_bytes() == serial.read_bytes()
+
+    # a pool worker fails on its 1,201st word: in its third chunk at the latest
+    resumed = tmp_path / "resumed.csv"
+    _interrupted_scan(resumed, monkeypatch, n=7, chunk=500, limit=1200, workers=2,
+                      exc=RuntimeError)
+    ckpt = json.loads((tmp_path / "resumed.csv.ckpt").read_text())
+    assert 0 < ckpt["completed"] < 5040 and ckpt["completed"] % 500 == 0
+    report = scan(7, out=str(resumed), resume=True, workers=2)
+    assert resumed.read_bytes() == serial.read_bytes()
+    assert report.count_separable == schroder(6)
 
 
 def test_parallel_output_matches_serial(tmp_path, monkeypatch):
@@ -243,6 +267,41 @@ def test_resume_rejects_tampered_stream(tmp_path, monkeypatch):
         scan(5, out=str(out), resume=True, workers=1)
 
 
+def test_rows_read_back_to_the_csv(tmp_path):
+    # iter_records reads the rows the scan writes, through the same reader
+    # as a resume; formatting the records again gives the file back
+    out = tmp_path / "s5.csv"
+    scan(5, out=str(out), workers=1)
+    flag = {True: "true", False: "false"}
+    rows = [
+        f"{r.word},{flag[r.is_separable]},{';'.join(map(str, r.gf_below.coeffs))},"
+        f"{flag[r.rank_symmetric]},{flag[r.unimodal]},{flag[r.cyclotomic_product]},"
+        f"{flag[r.divides_qfact]}\n"
+        for r in iter_records(5)
+    ]
+    assert survey.CSV_HEADER + "".join(rows) == out.read_text()
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["2413,false,1;2;1;1,false,true,false", "2413,no,1;2;1;1,false,true,false,false",
+     "2413,false,1;x;1;1,false,true,false,false", "2413,false,,false,true,false,false"],
+    ids=["six-fields", "bad-flag", "bad-coefficient", "empty-gf"],
+)
+def test_resume_rejects_a_malformed_row_under_a_matching_hash(tmp_path, row):
+    out = tmp_path / "s4.csv"
+    scan(4, out=str(out))
+    data = out.read_bytes().replace(b"2413,false,1;2;1;1,false,true,false,false",
+                                    row.encode())
+    out.write_bytes(data)
+    ckpt = tmp_path / "s4.csv.ckpt"
+    meta = json.loads(ckpt.read_text())
+    meta.update(bytes=len(data), sha256=hashlib.sha256(data).hexdigest())
+    ckpt.write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match="malformed survey row"):
+        scan(4, out=str(out), resume=True)
+
+
 def test_resume_rejects_mismatched_parameters(tmp_path):
     out = tmp_path / "s.csv"
     scan(4, out=str(out))
@@ -296,8 +355,8 @@ def test_predicate_cache_keeps_sizes_apart():
     # [5] divides [5]! but not [4]!; a shared cache entry must not leak
     survey._predicates.cache_clear()
     coeffs = (1, 1, 1, 1, 1)
-    assert survey._predicates(coeffs, 4)[3] is False
-    assert survey._predicates(coeffs, 5)[3] is True
+    assert survey._predicates(coeffs, 4) == (",1;1;1;1;1,true,true,true,false\n", True, True, True)
+    assert survey._predicates(coeffs, 5) == (",1;1;1;1;1,true,true,true,true\n", True, True, False)
     assert survey._predicates.cache_info().currsize == 2
 
 
@@ -309,14 +368,20 @@ def test_divisibility_runs_only_on_cyclotomic_products(n):
 
     survey._predicates.cache_clear()
     gfs = {rec.gf_below for rec in iter_records(n)}
+    # one entry per distinct (gf, n)
     assert survey._predicates.cache_info().currsize == len(gfs)
+    flag = {True: "true", False: "false"}
     for gf in gfs:
         try:
             q_factorial(n).exact_div(gf)
             div = True
         except NonzeroRemainder:
             div = False
-        assert survey._predicates(gf.coeffs, n)[2:] == (is_cyclotomic_product(gf), div), gf
+        cyc, sym = is_cyclotomic_product(gf), gf.is_symmetric()
+        tail, *count_flags = survey._predicates(gf.coeffs, n)
+        assert tail.endswith(f",{flag[cyc]},{flag[div]}\n"), gf
+        assert count_flags == [sym, sym and cyc, sym and not div], gf
+    assert survey._predicates.cache_info().currsize == len(gfs)
 
 
 def test_shared_le_table_keeps_only_small_posets(monkeypatch, capsys):
@@ -341,7 +406,7 @@ def test_record_tuple_rejects_malformed_gf(monkeypatch):
 
     monkeypatch.setattr(survey, "_gf_below", lambda pi: IntPoly((1, 1, 1)))
     with pytest.raises(AssertionError, match="malformed"):
-        survey._record_tuple((2, 1))
+        survey._encode_row((2, 1))
 
 
 def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
@@ -352,9 +417,9 @@ def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
 
     monkeypatch.setattr(survey, "_gf_below", lambda pi: IntPoly((1, -1, 1)))
     with pytest.raises(AssertionError, match="malformed"):
-        survey._record_tuple((3, 1, 2))
+        survey._encode_row((3, 1, 2))
     with pytest.raises(AssertionError, match="malformed"):
-        survey._record_tuple((3, 1, 2))  # a failed check is never cached
+        survey._encode_row((3, 1, 2))  # a failed check is never cached
 
 
 def test_memo_tables_hold_quadratically_many_entries():

@@ -72,9 +72,8 @@ class IntPoly:
         if not a or not b:
             return IntPoly()
         # every coefficient of the product is a sum of at most min(len)
-        # terms, each at most max|a| * max|b| in size
-        # (at least 64 bits, so that from_packed can read the slots as
-        # machine words)
+        # terms, each at most max|a| * max|b| in size; slots of at least
+        # 64 bits let from_packed read them as machine words
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
         width = max(64, bound.bit_length() + 1)
         return IntPoly.from_packed(self.packed(width) * other.packed(width), width)

@@ -190,7 +190,10 @@ def test_n7_csv_is_the_same_at_any_worker_count_and_after_resume(tmp_path, monke
     assert 0 < ckpt["completed"] < 5040 and ckpt["completed"] % 500 == 0
     report = scan(7, out=str(resumed), resume=True, workers=2)
     assert resumed.read_bytes() == serial.read_bytes()
-    assert report.count_separable == schroder(6)
+    # separable, rank-symmetric, symmetric-cyclotomic, symmetric-nondividing
+    counts = (report.count_separable, report.count_rank_symmetric,
+              report.count_symmetric_cyclotomic, report.count_symmetric_nondividing)
+    assert counts == (schroder(6), 2116, 2036, 160)
 
 
 def test_parallel_output_matches_serial(tmp_path, monkeypatch):

@@ -72,10 +72,9 @@ class IntPoly:
         if not a or not b:
             return IntPoly()
         # every coefficient of the product is a sum of at most min(len)
-        # terms, each at most max|a| * max|b| in size; slots of at least
-        # 64 bits let from_packed read them as machine words
+        # terms, each at most max|a| * max|b| in size
         bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = max(64, bound.bit_length() + 1)
+        width = bound.bit_length() + 1
         return IntPoly.from_packed(self.packed(width) * other.packed(width), width)
 
     def packed(self, width: int) -> int:

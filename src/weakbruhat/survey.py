@@ -157,14 +157,14 @@ def _scan_chunk(words):
 
 def _read_rows(rows):
     """SurveyRecords from the CSV rows _encode_row writes, read without
-    their newlines.  A row not of that form raises CheckpointError."""
+    their newlines.  A row not of that form raises ValueError."""
     for row in rows:
         try:
             word, sep, gf, sym, uni, cyc, div = row.split(",")
             flags = [_FLAG_OF[f] for f in (sep, sym, uni, cyc, div)]
             poly = IntPoly(map(int, gf.split(";")))
         except (KeyError, ValueError):
-            raise CheckpointError(f"malformed survey row: {row!r}") from None
+            raise ValueError(f"malformed survey row: {row!r}") from None
         yield SurveyRecord(word, flags[0], poly, *flags[1:])
 
 
@@ -355,9 +355,12 @@ def _load_checkpoint(ckpt: str, out: str, partial: str, n: int, counts: _Counts)
             f"{stream} holds {len(lines) - 1} records but the checkpoint "
             f"claims {completed}"
         )
-    for rec in _read_rows(islice(lines, 1, None)):
-        counts.add(rec.is_separable, *_count_flags(
-            rec.rank_symmetric, rec.cyclotomic_product, rec.divides_qfact))
+    try:
+        for rec in _read_rows(islice(lines, 1, None)):
+            counts.add(rec.is_separable, *_count_flags(
+                rec.rank_symmetric, rec.cyclotomic_product, rec.divides_qfact))
+    except ValueError as exc:
+        raise CheckpointError(f"{stream}: {exc}") from None
     return completed, nbytes, hasher
 
 

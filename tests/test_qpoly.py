@@ -302,9 +302,9 @@ def test_packed_round_trip(width_coeffs):
 
 # -- 64-bit slots -------------------------------------------------------------
 #
-# At width 64 (pack_width for n <= 20, and every product of small
-# coefficients) from_packed reads all slots at once as machine words when
-# none of them borrowed, and otherwise takes the signed loop.
+# At width 64 (pack_width for n <= 20: le_gf and the block recursion)
+# from_packed reads all slots at once as machine words when none of them
+# borrowed, and otherwise takes the signed loop.
 
 
 def _assert_round_trip(coeffs, width):

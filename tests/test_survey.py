@@ -305,6 +305,14 @@ def test_resume_rejects_a_malformed_row_under_a_matching_hash(tmp_path, row):
         scan(4, out=str(out), resume=True)
 
 
+def test_row_reader_raises_a_plain_value_error():
+    # iter_records reads rows through the reader a resume uses; a malformed
+    # row there involves no checkpoint, so only the resume names one
+    with pytest.raises(ValueError, match="malformed survey row") as info:
+        list(survey._read_rows(["2413,no,1;2;1;1,false,true,false,false"]))
+    assert not isinstance(info.value, CheckpointError)
+
+
 def test_resume_rejects_mismatched_parameters(tmp_path):
     out = tmp_path / "s.csv"
     scan(4, out=str(out))

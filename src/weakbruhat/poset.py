@@ -108,10 +108,6 @@ class Poset:
     def __repr__(self) -> str:
         return f"Poset({self.size}, {list(self.covers())!r})"
 
-    def relations(self) -> tuple[tuple[int, int], ...]:
-        """All strict relations (a, b), transitively closed."""
-        return tuple((i + 1, j + 1) for i, above in enumerate(self._gt) for j in _bits(above))
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""

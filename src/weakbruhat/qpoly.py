@@ -12,6 +12,14 @@ q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
 slots.  le_gf and the block recursion compute on such ints throughout.
 
+The cyclotomic-product test packs its polynomial once, with 16 bits of
+room above the largest coefficient, and tries each order d with one
+divmod by the packed Phi_d.  A nonzero remainder rules Phi_d out; a
+zero one is accepted when the quotient's digits pass a headroom test,
+which proves the division exact over Z[q] (the argument is in
+is_cyclotomic_product's docstring).  A quotient that fails it is
+divided again by IntPoly.exact_div.
+
 >>> print(q_factorial(3))
 1 + 2*q + 2*q^2 + q^3
 >>> print(q_binomial(4, 2))
@@ -299,16 +307,16 @@ def cyclotomic(d: int) -> IntPoly:
     return p
 
 
-def _candidate_orders(degree: int) -> list[int]:
-    """Every d with phi(d) <= degree, ascending.
+def _orders_upto(degree: int) -> list[tuple[int, int]]:
+    """Every (d, phi(d)) with phi(d) <= degree, ascending in d.
 
     Any cyclotomic factor of p has phi(d) = deg(cyclotomic(d)) <= deg(p).
     A prime r dividing d puts the factor r - 1 into phi(d), so d is a
     product of powers of the primes r <= degree + 1; each branch of the
     search stops as soon as phi would pass degree.
 
-    >>> _candidate_orders(2)
-    [1, 2, 3, 4, 6]
+    >>> _orders_upto(2)
+    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
     """
     bound = degree + 1
     is_prime = [True] * (bound + 1)
@@ -321,7 +329,7 @@ def _candidate_orders(degree: int) -> list[int]:
     out = []
 
     def extend(d: int, phi: int, start: int) -> None:
-        out.append(d)
+        out.append((d, phi))
         for i in range(start, len(primes)):
             r = primes[i]
             phi_r = phi * (r - 1)
@@ -338,13 +346,124 @@ def _candidate_orders(degree: int) -> list[int]:
     return sorted(out)
 
 
+def _pack(coeffs: tuple[int, ...], size: int) -> int:
+    """The value at q = 2^(8*size) of the polynomial with these
+    coefficients, each of magnitude below 2^(8*size - 1), read from the
+    slots' bytes in linear time (IntPoly.packed shifts, in quadratic
+    time, to any width).
+
+    >>> _pack((1, -1, 2), 1) == IntPoly((1, -1, 2)).packed(8)
+    True
+    """
+
+    def unsigned(cs) -> int:
+        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in cs]), "little")
+
+    if min(coeffs) >= 0:
+        return unsigned(coeffs)
+    return unsigned([max(c, 0) for c in coeffs]) - unsigned([max(-c, 0) for c in coeffs])
+
+
+def _slot_width(coeffs: tuple[int, ...]) -> int:
+    """Whole bytes, with at least 16 bits of room above the largest
+    coefficient.
+
+    >>> _slot_width((1, 3836, 1)), _slot_width((1, 2**60, 1))
+    (32, 80)
+    """
+    return 8 * ((max(map(abs, coeffs)).bit_length() + 23) // 8)
+
+
+def _digits_fit(value: int, width: int, bits: int, slots: int) -> bool:
+    """True when value = sum of c_k 2^(width*k) over k < slots with every
+    c_k in [-2^(bits-1), 2^(bits-1)): adding 2^(bits-1) to every slot
+    must leave each slot below 2^bits and nothing above the top slot.
+
+    >>> _digits_fit(IntPoly((-8, 7, 0)).packed(16), 16, 4, 3)
+    True
+    >>> _digits_fit(IntPoly((-9, 7, 0)).packed(16), 16, 4, 3)
+    False
+    """
+    if bits < 1:
+        return False
+    size = width // 8
+    offset = int.from_bytes((1 << (bits - 1)).to_bytes(size, "little") * slots, "little")
+    high = int.from_bytes(((1 << width) - (1 << bits)).to_bytes(size, "little") * slots, "little")
+    shifted = value + offset
+    return not shifted & high and not shifted >> (width * slots)
+
+
+class _CyclotomicTables:
+    """What is_cyclotomic_product keeps for the life of the process.
+
+    orders: the _orders_upto list of the largest degree seen so far;
+    smaller degrees skip its entries with too large a phi(d).
+    packed: d -> (Phi_d at q = 2^width, bit length of the sum of
+    |coefficients| of Phi_d), one entry per order tried, at the widest
+    slot width seen so far; a wider width empties it.  Neither table is
+    keyed by degree or by width, so a long run holds one copy of each.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.degree = 0
+        self.orders: list[tuple[int, int]] = []
+        self.width = 0
+        self.packed: dict[int, tuple[int, int]] = {}
+
+    def orders_upto(self, degree: int) -> list[tuple[int, int]]:
+        if degree > self.degree:
+            self.orders = _orders_upto(degree)
+            self.degree = degree
+        return self.orders
+
+    def widen(self, width: int) -> int:
+        """The slot width to pack at: width, or the table's if wider."""
+        if width > self.width:
+            self.width = width
+            self.packed.clear()
+        return self.width
+
+    def cyclotomic_at(self, d: int) -> tuple[int, int]:
+        entry = self.packed.get(d)
+        if entry is None:
+            coeffs = cyclotomic(d).coeffs
+            norm = sum(map(abs, coeffs))
+            entry = self.packed[d] = (_pack(coeffs, self.width // 8), norm.bit_length())
+        return entry
+
+
+_TABLES = _CyclotomicTables()
+
+
 def is_cyclotomic_product(p: IntPoly) -> bool:
     """True when p is a product of cyclotomic polynomials.
 
-    Requires a nonzero polynomial with constant term 1.  Works by
-    greedy exact division: each candidate order is divided out to
-    exhaustion; by unique factorization over Z[q] the order of removal
-    cannot change the outcome.
+    Requires a nonzero polynomial with constant term 1.  Each candidate
+    order d, ascending, is divided out to exhaustion; by unique
+    factorization over Z[q] the order of removal cannot change the
+    outcome.
+
+    The divisions run on one packed integer: N = cur(x) at x = 2^w, w a
+    whole number of bytes with at least 16 bits of room above p's
+    largest coefficient, so every coefficient of cur is below 2^(w-2)
+    in magnitude.  Each try is one divmod(N, Phi_d(x)).
+    - A nonzero remainder proves Phi_d does not divide cur: cur = Q*Phi_d
+      in Z[q] would give N = Q(x)*Phi_d(x).
+    - A zero remainder gives Qv = N / Phi_d(x).  Let Q be the polynomial
+      of Qv's balanced base-x digits, and b = w - 1 - bit_length(L),
+      where L is the sum of |coefficients| of Phi_d.  If every digit of
+      Q lies in [-2^(b-1), 2^(b-1)), then every coefficient of Q*Phi_d
+      is below 2^(b-1) * L < 2^(w-2) in magnitude, so R = cur - Q*Phi_d
+      has every coefficient below 2^(w-1) in magnitude, and R(x) = 0.
+      The lowest nonzero coefficient of such an R would be divisible
+      by x, so R = 0: Phi_d divides cur, the quotient is Q, and its
+      digits keep the bound for the next try.  Otherwise (rare) the
+      division is redone by IntPoly.exact_div on cur, unpacked, and the
+      quotient repacked at a width fit for it.
+    cur is 1 exactly when N == 1.
 
     >>> is_cyclotomic_product(q_binomial(4, 2))
     True
@@ -361,14 +480,26 @@ def is_cyclotomic_product(p: IntPoly) -> bool:
     # of q-1 factors and is therefore palindromic; reject early.
     if not p.is_symmetric():
         return False
-    current = p
-    for d in _candidate_orders(current.degree):
-        phi_d = cyclotomic(d).degree
-        while phi_d <= current.degree:
-            try:
-                current = current.exact_div(cyclotomic(d))
-            except NonzeroRemainder:
+    degree = p.degree
+    orders = _TABLES.orders_upto(degree)
+    width = _TABLES.widen(_slot_width(p.coeffs))
+    value = _pack(p.coeffs, width // 8)
+    for d, phi in orders:
+        while phi <= degree:
+            phi_value, norm_bits = _TABLES.cyclotomic_at(d)
+            quot, rem = divmod(value, phi_value)
+            if rem:
                 break
-            if current == ONE:
+            if _digits_fit(quot, width, width - 1 - norm_bits, degree - phi + 1):
+                value = quot
+            else:
+                try:
+                    cur = IntPoly.from_packed(value, width).exact_div(cyclotomic(d))
+                except NonzeroRemainder:
+                    break
+                width = _TABLES.widen(_slot_width(cur.coeffs))
+                value = _pack(cur.coeffs, width // 8)
+            degree -= phi
+            if value == 1:
                 return True
-    return current == ONE
+    return False

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakbruhat import qpoly
 from weakbruhat.errors import NonzeroRemainder
 from weakbruhat.qpoly import (
     ONE,
     IntPoly,
-    _candidate_orders,
+    _digits_fit,
+    _orders_upto,
     cyclotomic,
     is_cyclotomic_product,
     q_binomial,
@@ -167,7 +169,9 @@ def test_candidate_orders_are_every_order_with_small_totient():
                 phi[k] -= phi[k] // p
     for degree in range(top + 1):
         expected = [d for d in range(1, 2 * degree * degree + 2) if phi[d] <= degree]
-        assert _candidate_orders(degree) == expected, degree
+        orders = _orders_upto(degree)
+        assert [d for d, _ in orders] == expected, degree
+        assert all(t == phi[d] for d, t in orders), degree
 
 
 def test_is_cyclotomic_product_at_high_degree():
@@ -186,6 +190,160 @@ def test_is_cyclotomic_product_rejects():
         is_cyclotomic_product(IntPoly((0, 1)))
     with pytest.raises(ValueError):
         is_cyclotomic_product(ZERO)
+
+
+# -- the packed cyclotomic test --------------------------------------------
+#
+# is_cyclotomic_product divides packed integers and accepts a quotient
+# when its digits pass a headroom test.  The reference below is the
+# greedy long division it replaced, kept here and nowhere else.
+
+
+def greedy_reference(p):
+    """Divide each candidate order out to exhaustion by IntPoly.exact_div."""
+    if p == ONE:
+        return True
+    if not p.is_symmetric():
+        return False
+    current = p
+    for d, phi in _orders_upto(current.degree):
+        while phi <= current.degree:
+            try:
+                current = current.exact_div(cyclotomic(d))
+            except NonzeroRemainder:
+                break
+            if current == ONE:
+                return True
+    return current == ONE
+
+
+def _product(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_packed_test_matches_long_division_on_every_gf(n):
+    from weakbruhat.survey import iter_records
+
+    for gf in {r.gf_below for r in iter_records(n)}:
+        assert is_cyclotomic_product(gf) == greedy_reference(gf), gf
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """A product of Phi_d, d <= 120, of degree at most 120, with an even
+    number of Phi_1 so that the constant term is 1."""
+    orders = []
+    degree = 0
+    for d in draw(st.lists(st.integers(1, 120), min_size=1, max_size=6)):
+        if degree + cyclotomic(d).degree <= 120:
+            orders.append(d)
+            degree += cyclotomic(d).degree
+    if orders.count(1) % 2:
+        orders.append(1)
+    return orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_products())
+def test_packed_test_accepts_products_of_cyclotomics(orders):
+    p = _product(cyclotomic(d) for d in orders)
+    assert is_cyclotomic_product(p), orders
+    assert greedy_reference(p), orders
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_products(), st.data())
+def test_packed_test_matches_long_division_on_near_misses(orders, data):
+    p = _product(cyclotomic(d) for d in orders)
+    if p.degree >= 2:
+        # a palindromic change inside the ends keeps the early checks
+        k = data.draw(st.integers(1, p.degree // 2), label="k")
+        c = data.draw(st.sampled_from((-2, -1, 1, 2)), label="c")
+        bump = [0] * (p.degree + 1)
+        bump[k] += c
+        bump[p.degree - k] += c
+        miss = IntPoly(a + b for a, b in zip(p.coeffs, bump))
+        assert is_cyclotomic_product(miss) == greedy_reference(miss), (orders, k, c)
+    times = p * IntPoly((1, 3, 1))  # a palindromic factor of no cyclotomic
+    assert not is_cyclotomic_product(times) and not greedy_reference(times), orders
+
+
+def test_packed_test_with_phi_105():
+    # Phi_105 is the first cyclotomic with a coefficient of magnitude 2
+    for factors in ((105,), (105, 105), (105, 2, 3), (105, 1, 1), (105, 35, 15, 21)):
+        p = _product(cyclotomic(d) for d in factors)
+        assert is_cyclotomic_product(p), factors
+        for c in (-1, 1):
+            miss = IntPoly(x + (c if k in (5, p.degree - 5) else 0) for k, x in enumerate(p.coeffs))
+            assert is_cyclotomic_product(miss) == greedy_reference(miss), (factors, c)
+
+
+def test_quotient_outgrowing_the_headroom_falls_back_to_exact_div(monkeypatch):
+    # (1 - q^8)^10 has coefficients up to 252, packed at 24 bits.  Each
+    # Phi_1 removed grows the quotient toward [8]^10, whose middle
+    # coefficient is near 2^26, past the 2^20 its digits may reach.
+    p = _product([IntPoly((1,) + (0,) * 7 + (-1,))] * 10)
+    for d in range(1, 9):
+        cyclotomic(d)  # warm, so only the test's own divisions are counted
+    qpoly._TABLES.clear()  # a wider width left by an earlier call gives more room
+    calls = []
+    exact_div = IntPoly.exact_div
+
+    def counted(self, other):
+        calls.append(other)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(IntPoly, "exact_div", counted)
+    assert is_cyclotomic_product(p)
+    assert calls and set(calls) == {cyclotomic(1)}
+    monkeypatch.undo()
+    assert greedy_reference(p)
+    middle = IntPoly(c + (k == 40) for k, c in enumerate(p.coeffs))
+    assert not is_cyclotomic_product(middle) and not greedy_reference(middle)
+
+
+@pytest.mark.parametrize("width, bits", [(8, 1), (8, 6), (16, 4), (24, 21), (64, 50), (80, 78)])
+def test_headroom_test_at_its_edges(width, bits):
+    half = 1 << (bits - 1)
+    slots = 3
+
+    def fits(digits):
+        return _digits_fit(IntPoly(digits).packed(width), width, bits, slots)
+
+    for k in range(slots):
+        for edge in (-half, half - 1):  # a digit of exactly -2^(b-1), or the largest
+            digits = [0] * slots
+            digits[k] = edge
+            assert fits(digits), (k, edge)
+        for past in (half, -half - 1):  # one past either end
+            digits = [0] * slots
+            digits[k] = past
+            assert not fits(digits), (k, past)
+    # a quotient that needs one more slot, either sign
+    assert not fits([0] * slots + [1])
+    assert not fits([-half] * slots + [-1])
+    assert fits([-half] * slots + [0])
+    assert not _digits_fit(0, width, 0, slots)  # no room at all: the fallback
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_headroom_test_matches_the_digits(data):
+    width = 8 * data.draw(st.integers(1, 10), label="bytes")
+    bits = data.draw(st.integers(1, width - 2), label="bits")
+    slots = data.draw(st.integers(1, 6), label="slots")
+    half, top = 1 << (bits - 1), 1 << (width - 1)
+    digit = st.one_of(
+        st.sampled_from((-half - 1, -half, half - 1, half, 0, -1)),
+        st.integers(-top, top - 1),
+    )
+    digits = data.draw(st.lists(digit, max_size=slots + 2), label="digits")
+    want = all(-half <= c < half for c in digits[:slots]) and not any(digits[slots:])
+    assert _digits_fit(IntPoly(digits).packed(width), width, bits, slots) == want
 
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=8)

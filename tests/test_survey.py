@@ -437,12 +437,20 @@ def test_memo_tables_hold_quadratically_many_entries():
     # every key of these tables is O(n^2): a pair (n, m), or an order d
     # with phi(d) at most the degree n(n-1)/2
     from weakbruhat import separable
-    from weakbruhat.qpoly import cyclotomic, q_binomial
+    from weakbruhat.qpoly import _TABLES, _orders_upto, cyclotomic, q_binomial
 
     n = 7
     tables = (q_binomial, cyclotomic, separable._packed_binomial)
     for table in (*tables, survey._predicates):
         table.cache_clear()
+    _TABLES.clear()  # packed Phi_d left by an earlier call bypass cyclotomic
     scan(n, workers=1)
     for table in tables:
         assert 0 < table.cache_info().currsize <= (n + 1) * (n + 2) // 2, table
+    # is_cyclotomic_product's (d, phi(d)) list covers the largest degree,
+    # [n]!'s, and no more: about 1.94 D orders have phi(d) <= D, 41 at
+    # D = 21; its packed Phi_d hold one entry per order tried
+    degree = n * (n - 1) // 2
+    assert _TABLES.orders == _orders_upto(degree)
+    assert len(_TABLES.orders) <= 2 * degree
+    assert 0 < len(_TABLES.packed) <= cyclotomic.cache_info().currsize

@@ -349,8 +349,8 @@ def _orders_upto(degree: int) -> list[tuple[int, int]]:
 def _pack(coeffs: tuple[int, ...], size: int) -> int:
     """The value at q = 2^(8*size) of the polynomial with these
     coefficients, each of magnitude below 2^(8*size - 1), read from the
-    slots' bytes in linear time (IntPoly.packed shifts, in quadratic
-    time, to any width).
+    slots' bytes in linear time (IntPoly.packed, which takes any width,
+    shifts in quadratic time).
 
     >>> _pack((1, -1, 2), 1) == IntPoly((1, -1, 2)).packed(8)
     True

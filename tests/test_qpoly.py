@@ -282,11 +282,18 @@ def test_packed_test_with_phi_105():
             assert is_cyclotomic_product(miss) == greedy_reference(miss), (factors, c)
 
 
-def test_quotient_outgrowing_the_headroom_falls_back_to_exact_div(monkeypatch):
-    # (1 - q^8)^10 has coefficients up to 252, packed at 24 bits.  Each
-    # Phi_1 removed grows the quotient toward [8]^10, whose middle
-    # coefficient is near 2^26, past the 2^20 its digits may reach.
-    p = _product([IntPoly((1,) + (0,) * 7 + (-1,))] * 10)
+@pytest.mark.parametrize("m", (8, 7))
+def test_quotient_outgrowing_the_headroom_falls_back_to_exact_div(monkeypatch, m):
+    # (1 - q^m)^10 has coefficients up to 252, packed at 24 bits.  Phi_1's
+    # coefficients sum to 2 in magnitude, so a quotient's digits may
+    # reach 2^20 (b = 24 - 1 - 2 = 21).  Each Phi_1 removed grows the
+    # quotient toward [m]^10, whose middle coefficient is past 2^22.  At
+    # m = 7 a bound that left out Phi_1's norm (2^22) would fall back one
+    # division later.
+    p = _product([IntPoly((1,) + (0,) * (m - 1) + (-1,))] * 10)
+    dividends = [p]  # p / Phi_1^k, until the quotient leaves [-2^20, 2^20)
+    while all(-(2**20) <= c < 2**20 for c in dividends[-1].exact_div(cyclotomic(1)).coeffs):
+        dividends.append(dividends[-1].exact_div(cyclotomic(1)))
     for d in range(1, 9):
         cyclotomic(d)  # warm, so only the test's own divisions are counted
     qpoly._TABLES.clear()  # a wider width left by an earlier call gives more room
@@ -294,15 +301,18 @@ def test_quotient_outgrowing_the_headroom_falls_back_to_exact_div(monkeypatch):
     exact_div = IntPoly.exact_div
 
     def counted(self, other):
-        calls.append(other)
+        calls.append((self, other))
         return exact_div(self, other)
 
     monkeypatch.setattr(IntPoly, "exact_div", counted)
     assert is_cyclotomic_product(p)
-    assert calls and set(calls) == {cyclotomic(1)}
+    # one fallback, at the first quotient past the headroom; then the
+    # quotient is repacked wide enough for the rest
+    assert 1 < len(dividends) < 10
+    assert calls == [(dividends[-1], cyclotomic(1))]
     monkeypatch.undo()
     assert greedy_reference(p)
-    middle = IntPoly(c + (k == 40) for k, c in enumerate(p.coeffs))
+    middle = IntPoly(c + (k == 5 * m) for k, c in enumerate(p.coeffs))
     assert not is_cyclotomic_product(middle) and not greedy_reference(middle)
 
 

@@ -3,11 +3,14 @@ a permutation and the whole symmetric group.
 
 For separable pi the map from {u <= pi} x {v >= pi} is a bijection onto
 S_n.  check_bijection verifies that extensionally from the actual
-intervals.  The intervals are kept as words and the images are formed
-as words, one position table per u and one itemgetter per v, so the
-check builds no Permutation per pair; Permutation objects are built
-only for PairTable.entries and the collisions of a failed check.
-Without force a table holds at most weak_order.WORD_BUDGET pairs.
+intervals.  The intervals are kept as bytes words, one letter per byte.
+For each u, t = bytes.maketrans(u, bytes(range(1, n + 1))) sends each
+letter of u to its position, so the image of (u, v) is v.translate(t).
+The check thus builds no Permutation per pair, and its images compare
+and sort as tuple words would.  Permutation objects are built only for
+PairTable.entries and the collisions of a failed check.  A table holds
+words of at most MAX_LETTERS letters, and without force at most
+weak_order.WORD_BUDGET pairs.
 invert_phi reconstructs the unique preimage of a target w by recursion
 over pi's block structure, verifying its answer and raising
 InternalInversionFailure if the check fails, since the construction is
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from operator import itemgetter
 
 from .errors import InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
@@ -36,15 +38,23 @@ def phi(u: Permutation, v: Permutation) -> Permutation:
     return compose(u.inverse(), v)
 
 
-def _image_getter(v: tuple[int, ...]):
-    """Maps the position table of u to the word of phi(u, v)."""
-    if len(v) == 1:
-        # itemgetter with one index returns the item, not a 1-tuple
-        return lambda inv: (inv[v[0]],)
-    return itemgetter(*v)
+# a pair table's words are bytes, one letter per byte
+MAX_LETTERS = 255
 
 
-def _csv_field(word: tuple[int, ...]) -> str:
+def check_letters(n: int) -> None:
+    """Refuse a pair table over words of more than MAX_LETTERS letters,
+    forced or not."""
+    if n > MAX_LETTERS:
+        raise ValueError(f"pair tables hold words of at most {MAX_LETTERS} letters, not {n}")
+
+
+def _perm(word: bytes) -> Permutation:
+    # a Permutation holds its word as a tuple, never as bytes
+    return _trusted(tuple(word))
+
+
+def _csv_field(word: bytes) -> str:
     """A word as a CSV field.  Words of 10 or more letters print with
     commas, so those are quoted (RFC 4180); digits need no escaping."""
     text = word_text(word)
@@ -54,24 +64,25 @@ def _csv_field(word: tuple[int, ...]) -> str:
 @dataclass(frozen=True)
 class PairTable:
     """The pairs (u, v) with u <= pi <= v.  below and above hold the
-    words of the two intervals in interval order (by rank, then word);
-    the pairs run u-major over them.  Permutation objects are built only
-    by entries."""
+    words of the two intervals as bytes, in interval order (by rank,
+    then word); the pairs run u-major over them.  Permutation objects
+    are built only by entries."""
 
     pi: Permutation
-    below: tuple[tuple[int, ...], ...]
-    above: tuple[tuple[int, ...], ...]
+    below: tuple[bytes, ...]
+    above: tuple[bytes, ...]
 
-    def images(self) -> list[tuple[int, ...]]:
-        """The word of phi(u, v) for every pair, in pair order."""
-        getters = [_image_getter(v) for v in self.above]
-        return [g(inv) for inv in map(positions, self.below) for g in getters]
+    def images(self) -> list[bytes]:
+        """The word of phi(u, v) for every pair, in pair order, as bytes."""
+        ident = bytes(range(1, self.pi.size + 1))
+        tables = [bytes.maketrans(u, ident) for u in self.below]
+        return [v.translate(t) for t in tables for v in self.above]
 
     @property
     def entries(self) -> dict:
         """{(u, v): phi(u, v)} as Permutations, in pair order."""
-        pairs = product(map(_trusted, self.below), map(_trusted, self.above))
-        return dict(zip(pairs, map(_trusted, self.images())))
+        pairs = product(map(_perm, self.below), map(_perm, self.above))
+        return dict(zip(pairs, map(_perm, self.images())))
 
     def to_csv(self) -> str:
         """Rows (u, v, w) sorted by w, then u."""
@@ -88,10 +99,13 @@ class BijectionReport:
 
 
 def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
-    """Every (u, v) with u <= pi <= v, with the intervals kept as words;
-    without force, GuardExceeded past WORD_BUDGET pairs, before any image."""
-    below = tuple(interval(identity(pi.size), pi, force=force).elements())
-    above = tuple(interval(pi, longest_element(pi.size), force=force).elements())
+    """Every (u, v) with u <= pi <= v, with the intervals kept as bytes
+    words.  ValueError past MAX_LETTERS letters, forced or not, before
+    any walk; without force, GuardExceeded past WORD_BUDGET pairs,
+    before any image."""
+    check_letters(pi.size)
+    below = tuple(map(bytes, interval(identity(pi.size), pi, force=force).elements()))
+    above = tuple(map(bytes, interval(pi, longest_element(pi.size), force=force).elements()))
     check_budget(len(below) * len(above), force, "pairs")
     return PairTable(pi, below, above)
 
@@ -109,11 +123,11 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     images = table.images()
     if len(set(images)) == len(images) == factorial(pi.size):
         return BijectionReport(is_bijection=True, collisions=())
-    by_image: dict[tuple[int, ...], list] = {}
+    by_image: dict[bytes, list] = {}
     for w, pair in zip(images, product(table.below, table.above)):
         by_image.setdefault(w, []).append(pair)
     collisions = tuple(
-        (_trusted(w), tuple((_trusted(u), _trusted(v)) for u, v in sorted(pairs)))
+        (_perm(w), tuple((_perm(u), _perm(v)) for u, v in sorted(pairs)))
         for w, pairs in sorted(by_image.items())
         if len(pairs) > 1
     )

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from functools import cache
 from math import factorial, prod
 
-from .bijection import build_pair_table, check_bijection, invert_phi
+from .bijection import build_pair_table, check_bijection, check_letters, invert_phi
 from .errors import InternalInversionFailure, NonzeroRemainder, UsageError
 from .perm import Permutation, identity, longest_element, parse_permutation
 from .poset import inversion_poset, le_gf
@@ -248,6 +248,9 @@ def _cmd_bijection(args) -> int:
         data = {"word": str(pi), "target": str(w), "u": str(u), "v": str(v)}
         _output(args, _render(args, data, [("u", str(u)), ("v", str(v))]))
         return 0
+    # before _check_words, which may count a non-separable word's
+    # intervals through le_gf
+    check_letters(pi.size)
     _check_words(pi, args.force, "below", "above")
     if args.table:
         table = build_pair_table(pi, force=args.force)

@@ -215,10 +215,10 @@ def test_check_bijection_builds_no_permutation_per_pair(monkeypatch):
 
 
 def test_pair_table_csv_quotes_words_of_ten_letters():
-    e = tuple(range(1, 11))
-    s1 = (2, 1) + e[2:]
-    s1s2 = (2, 3, 1) + e[3:]
-    table = PairTable(Permutation(s1), below=(e, s1), above=(s1, s1s2))
+    e = bytes(range(1, 11))
+    s1 = bytes((2, 1)) + e[2:]
+    s1s2 = bytes((2, 3, 1)) + e[3:]
+    table = PairTable(Permutation(tuple(s1)), below=(e, s1), above=(s1, s1s2))
     text = table.to_csv()
     # phi(s1, s1) = e sorts first
     assert text.splitlines()[1] == '"2,1,3,4,5,6,7,8,9,10",' * 2 + '"1,2,3,4,5,6,7,8,9,10"'
@@ -228,3 +228,38 @@ def test_pair_table_csv_quotes_words_of_ten_letters():
     for row in rows:
         u, v, w = map(parse_permutation, row)
         assert table.entries[(u, v)] == w == phi(u, v)
+
+
+def test_pair_table_images_at_the_letter_limit():
+    # the images are bytes; entries and collisions hold tuple words
+    n = bijection.MAX_LETTERS
+    e = bytes(range(1, n + 1))
+    s1 = bytes((2, 1)) + e[2:]
+    s1s2 = bytes((2, 3, 1)) + e[3:]
+    table = PairTable(Permutation(tuple(s1)), below=(e, s1), above=(s1, s1s2))
+    assert all(type(w) is bytes for w in table.images())
+    for (u, v), w in table.entries.items():
+        assert type(u.word) is type(v.word) is type(w.word) is tuple
+        assert w == phi(u, v)
+
+
+def test_pair_table_refuses_words_past_the_letter_limit_before_any_walk(monkeypatch):
+    assert bijection.MAX_LETTERS == 255
+    bijection.check_letters(255)
+    pi = identity(256)
+
+    def walk(*args, **kwargs):
+        raise AssertionError("walked an interval")
+
+    monkeypatch.setattr(bijection, "interval", walk)
+    for force in (False, True):
+        for build in (build_pair_table, check_bijection):
+            with pytest.raises(ValueError, match="at most 255 letters, not 256") as exc:
+                build(pi, force=force)
+            assert type(exc.value) is ValueError
+
+
+def test_check_bijection_reports_collisions_as_tuple_words():
+    (w, pairs), *_ = check_bijection(Permutation((2, 4, 1, 3))).collisions
+    assert type(w.word) is tuple
+    assert all(type(u.word) is type(v.word) is tuple for u, v in pairs)

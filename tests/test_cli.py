@@ -264,6 +264,21 @@ def test_force_note_counts_the_words_enumerated(capsys):
         assert noted("bijection", word) == noted("bijection", word, "--table") == len(table.images())
 
 
+def test_bijection_past_the_letter_limit_exits_1_before_any_walk(capsys, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("counted or walked an interval")
+
+    monkeypatch.setattr(bijection, "interval", walk)
+    monkeypatch.setattr(cli, "_check_words", walk)
+    separable = ",".join(map(str, range(1, 257)))
+    non_separable = "2,4,1,3," + ",".join(map(str, range(5, 257)))
+    for word in (separable, non_separable):
+        for argv in (("bijection", word), ("--force", "bijection", word), ("--force", "bijection", word, "--table")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: pair tables hold words of at most 255 letters, not 256\n"
+
+
 def test_interval_non_separable_past_the_guard(capsys):
     word = "2,4,1,3,5,6,7,8,9,10,11"
     for extra in ((), ("--gf",)):

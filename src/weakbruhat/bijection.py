@@ -104,8 +104,8 @@ def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
     any walk; without force, GuardExceeded past WORD_BUDGET pairs,
     before any image."""
     check_letters(pi.size)
-    below = tuple(map(bytes, interval(identity(pi.size), pi, force=force).elements()))
-    above = tuple(map(bytes, interval(pi, longest_element(pi.size), force=force).elements()))
+    below = tuple([bytes(w) for w in interval(identity(pi.size), pi, force=force).elements()])
+    above = tuple([bytes(w) for w in interval(pi, longest_element(pi.size), force=force).elements()])
     check_budget(len(below) * len(above), force, "pairs")
     return PairTable(pi, below, above)
 
@@ -140,6 +140,7 @@ def _construct(p: tuple, w: tuple):
     k = len(p)
     if k == 1:
         return p, p
+    # words are tuples of lists (see Permutation.complement)
     split = _split(p, 1, k)
     if split is None:
         raise NotSeparable(f"block {p} has no prefix split")
@@ -148,12 +149,12 @@ def _construct(p: tuple, w: tuple):
         # Complements exchange the two interval roles and flip the
         # split to positive, so solve there and map the answer back.
         w_inv = tuple(positions(w)[1:])
-        u2, v2 = _construct(tuple(k + 1 - a for a in p), w_inv)
-        return tuple(k + 1 - a for a in v2), tuple(k + 1 - a for a in u2)
+        u2, v2 = _construct(tuple([k + 1 - a for a in p]), w_inv)
+        return tuple([k + 1 - a for a in v2]), tuple([k + 1 - a for a in u2])
     m = len(left)
-    u1, v1 = _construct(left, tuple(a for a in w if a <= m))
-    u2, v2 = _construct(tuple(a - m for a in right), tuple(a - m for a in w if a > m))
-    u = u1 + tuple(a + m for a in u2)
+    u1, v1 = _construct(left, tuple([a for a in w if a <= m]))
+    u2, v2 = _construct(tuple([a - m for a in right]), tuple([a - m for a in w if a > m]))
+    u = u1 + tuple([a + m for a in u2])
     v = list(v1) + [a + m for a in v2]
     # Shift the low letters rightward to the positions they hold in w,
     # highest of the m first; every adjacent swap passes a high letter,

@@ -91,7 +91,11 @@ class Permutation:
         3142
         """
         n = self.size
-        return _trusted(tuple(n + 1 - a for a in self.word))
+        # From a list, not a generator: tuple(generator) fills a 10-slot
+        # tuple and resizes it, so each call moves a tuple from one of
+        # CPython's per-length free lists to another, and those lists
+        # fill up until a full collection empties them.
+        return _trusted(tuple([n + 1 - a for a in self.word]))
 
     def descent_set(self) -> frozenset[int]:
         """Positions i with word[i] > word[i+1] (1-indexed)."""
@@ -193,7 +197,7 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     if sigma.size != tau.size:
         raise ValueError(f"size mismatch: {sigma.size} vs {tau.size}")
     sw = sigma.word
-    return _trusted(tuple(sw[t - 1] for t in tau.word))
+    return _trusted(tuple([sw[t - 1] for t in tau.word]))
 
 
 def leq_weak(u: Permutation, v: Permutation) -> bool:

@@ -140,14 +140,14 @@ def inversion_poset(pi: Permutation) -> Poset:
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
     """Side-by-side union, q's elements numbered after p's."""
-    return Poset._from_closed_masks(p._gt + tuple(m << p.size for m in q._gt))
+    return Poset._from_closed_masks(p._gt + tuple([m << p.size for m in q._gt]))
 
 
 def ordinal_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union plus every element of p below every element of q."""
     above = ((1 << q.size) - 1) << p.size
     return Poset._from_closed_masks(
-        tuple(m | above for m in p._gt) + tuple(m << p.size for m in q._gt)
+        tuple([m | above for m in p._gt]) + tuple([m << p.size for m in q._gt])
     )
 
 

@@ -140,7 +140,7 @@ def _construct(p: tuple, w: tuple):
     k = len(p)
     if k == 1:
         return p, p
-    # words are tuples of lists (see Permutation.complement)
+    # each word is a tuple built from a list (see Permutation.complement)
     split = _split(p, 1, k)
     if split is None:
         raise NotSeparable(f"block {p} has no prefix split")

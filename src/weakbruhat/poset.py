@@ -203,7 +203,7 @@ def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
 # grow it toward the millions of posets on at most 7 points, so le_gf
 # clears it before a call that finds it past that bound.
 _SHARED_MAX = 7
-_SHARED_WIDTH = 64
+_SHARED_WIDTH = pack_width(_SHARED_MAX)
 _SHARED_BOUND = sum(factorial(k) for k in range(2, _SHARED_MAX + 1))
 _shared_le: dict[tuple[int, ...], int] = {}
 

@@ -12,9 +12,10 @@ q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
 slots.  le_gf and the block recursion compute on such ints throughout.
 
-The cyclotomic-product test packs its polynomial once, with 16 bits of
-room above the largest coefficient, and tries each order d with one
-divmod by the packed Phi_d.  A nonzero remainder rules Phi_d out; a
+The cyclotomic-product test packs each polynomial once, at its own
+slot width: whole bytes with 16 bits of room above the largest
+coefficient.  It tries each order d with one divmod by the packed Phi_d,
+memoized per (order, slot width).  A nonzero remainder rules Phi_d out; a
 zero one is accepted when the quotient's digits pass a headroom test,
 which proves the division exact over Z[q] (the argument is in
 is_cyclotomic_product's docstring).  A quotient that fails it is
@@ -307,7 +308,8 @@ def cyclotomic(d: int) -> IntPoly:
     return p
 
 
-def _orders_upto(degree: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _orders_upto(degree: int) -> tuple[tuple[int, int], ...]:
     """Every (d, phi(d)) with phi(d) <= degree, ascending in d.
 
     Any cyclotomic factor of p has phi(d) = deg(cyclotomic(d)) <= deg(p).
@@ -316,7 +318,7 @@ def _orders_upto(degree: int) -> list[tuple[int, int]]:
     search stops as soon as phi would pass degree.
 
     >>> _orders_upto(2)
-    [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2)]
+    ((1, 1), (2, 1), (3, 2), (4, 2), (6, 2))
     """
     bound = degree + 1
     is_prime = [True] * (bound + 1)
@@ -343,25 +345,7 @@ def _orders_upto(degree: int) -> list[tuple[int, int]]:
 
     if degree >= 1:
         extend(1, 1, 0)
-    return sorted(out)
-
-
-def _pack(coeffs: tuple[int, ...], size: int) -> int:
-    """The value at q = 2^(8*size) of the polynomial with these
-    coefficients, each of magnitude below 2^(8*size - 1), read from the
-    slots' bytes in linear time (IntPoly.packed, which takes any width,
-    shifts in quadratic time).
-
-    >>> _pack((1, -1, 2), 1) == IntPoly((1, -1, 2)).packed(8)
-    True
-    """
-
-    def unsigned(cs) -> int:
-        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in cs]), "little")
-
-    if min(coeffs) >= 0:
-        return unsigned(coeffs)
-    return unsigned([max(c, 0) for c in coeffs]) - unsigned([max(-c, 0) for c in coeffs])
+    return tuple(sorted(out))
 
 
 def _slot_width(coeffs: tuple[int, ...]) -> int:
@@ -393,49 +377,16 @@ def _digits_fit(value: int, width: int, bits: int, slots: int) -> bool:
     return not shifted & high and not shifted >> (width * slots)
 
 
-class _CyclotomicTables:
-    """What is_cyclotomic_product keeps for the life of the process.
+@lru_cache(maxsize=None)
+def _packed_cyclotomic(d: int, width: int) -> tuple[int, int]:
+    """Phi_d at q = 2^width, and the bit length of the sum of the
+    magnitudes of its coefficients.
 
-    orders: the _orders_upto list of the largest degree seen so far;
-    smaller degrees skip its entries with too large a phi(d).
-    packed: d -> (Phi_d at q = 2^width, bit length of the sum of
-    |coefficients| of Phi_d), one entry per order tried, at the widest
-    slot width seen so far; a wider width empties it.  Neither table is
-    keyed by degree or by width, so a long run holds one copy of each.
+    >>> _packed_cyclotomic(6, 8)
+    (65281, 2)
     """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.degree = 0
-        self.orders: list[tuple[int, int]] = []
-        self.width = 0
-        self.packed: dict[int, tuple[int, int]] = {}
-
-    def orders_upto(self, degree: int) -> list[tuple[int, int]]:
-        if degree > self.degree:
-            self.orders = _orders_upto(degree)
-            self.degree = degree
-        return self.orders
-
-    def widen(self, width: int) -> int:
-        """The slot width to pack at: width, or the table's if wider."""
-        if width > self.width:
-            self.width = width
-            self.packed.clear()
-        return self.width
-
-    def cyclotomic_at(self, d: int) -> tuple[int, int]:
-        entry = self.packed.get(d)
-        if entry is None:
-            coeffs = cyclotomic(d).coeffs
-            norm = sum(map(abs, coeffs))
-            entry = self.packed[d] = (_pack(coeffs, self.width // 8), norm.bit_length())
-        return entry
-
-
-_TABLES = _CyclotomicTables()
+    phi = cyclotomic(d)
+    return phi.packed(width), sum(map(abs, phi.coeffs)).bit_length()
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:
@@ -481,12 +432,13 @@ def is_cyclotomic_product(p: IntPoly) -> bool:
     if not p.is_symmetric():
         return False
     degree = p.degree
-    orders = _TABLES.orders_upto(degree)
-    width = _TABLES.widen(_slot_width(p.coeffs))
-    value = _pack(p.coeffs, width // 8)
-    for d, phi in orders:
+    width = _slot_width(p.coeffs)
+    value = p.packed(width)
+    # orders for the degree rounded up to a power of two, so that few
+    # lists are kept; the loop skips the entries with too large a phi(d)
+    for d, phi in _orders_upto(1 << (degree - 1).bit_length()):
         while phi <= degree:
-            phi_value, norm_bits = _TABLES.cyclotomic_at(d)
+            phi_value, norm_bits = _packed_cyclotomic(d, width)
             quot, rem = divmod(value, phi_value)
             if rem:
                 break
@@ -497,8 +449,8 @@ def is_cyclotomic_product(p: IntPoly) -> bool:
                     cur = IntPoly.from_packed(value, width).exact_div(cyclotomic(d))
                 except NonzeroRemainder:
                     break
-                width = _TABLES.widen(_slot_width(cur.coeffs))
-                value = _pack(cur.coeffs, width // 8)
+                width = _slot_width(cur.coeffs)
+                value = cur.packed(width)
             degree -= phi
             if value == 1:
                 return True

@@ -191,7 +191,7 @@ def gf_above_closed(root: TreeNode) -> IntPoly:
 
 
 # Gaussian binomials of the blocks, packed at the slot width of the
-# whole word.  Every word of at most 20 letters shares width 64, so for
+# whole word.  pack_width gives every short word one width, so for
 # them the keys are the O(n^2) pairs (n, m); each longer word length
 # adds its own width.
 @lru_cache(maxsize=None)
@@ -215,7 +215,10 @@ def _block_product(pi: Permutation, word, binomial) -> int:
             value *= binomial(len(word), len(left[0]))
         return value
 
-    return below(word, 1, len(word))
+    try:
+        return below(word, 1, len(word))
+    finally:
+        below = None  # below's cell refers to below: break that cycle
 
 
 def _recursion(pi: Permutation, word) -> IntPoly:

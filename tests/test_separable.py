@@ -2,6 +2,7 @@
 the three formula routes for interval generating functions, all pinned
 to hand-checked fixtures and to brute-force enumeration."""
 
+import gc
 from math import factorial
 
 import pytest
@@ -231,6 +232,21 @@ def test_interval_sizes_of_long_words():
     assert interval_sizes(identity(300)) == (1, factorial(300))
     pi = Permutation((*range(150, 0, -1), *range(151, 301)))
     assert interval_sizes(pi) == (factorial(150), factorial(300) // factorial(150))
+
+
+def test_block_recursion_leaves_no_reference_cycle():
+    # the recursion is a closure that calls itself; once a call returns,
+    # only reference counting should be needed to free it
+    pi = Permutation((4, 1, 3, 2, 7, 5, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        gf_below_recursive(pi)
+        assert gc.collect() == 0
+        interval_sizes(pi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nonseparable_rejected():

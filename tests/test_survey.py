@@ -433,24 +433,32 @@ def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
         survey._encode_row((3, 1, 2))  # a failed check is never cached
 
 
-def test_memo_tables_hold_quadratically_many_entries():
+def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
     # every key of these tables is O(n^2): a pair (n, m), or an order d
     # with phi(d) at most the degree n(n-1)/2
-    from weakbruhat import separable
-    from weakbruhat.qpoly import _TABLES, _orders_upto, cyclotomic, q_binomial
+    from weakbruhat import qpoly, separable
+    from weakbruhat.qpoly import cyclotomic, q_binomial
 
     n = 7
     tables = (q_binomial, cyclotomic, separable._packed_binomial)
-    for table in (*tables, survey._predicates):
+    for table in (*tables, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic):
         table.cache_clear()
-    _TABLES.clear()  # packed Phi_d left by an earlier call bypass cyclotomic
+    widths = set()
+    slot_width = qpoly._slot_width
+
+    def recorded(coeffs):
+        width = slot_width(coeffs)
+        widths.add(width)
+        return width
+
+    monkeypatch.setattr(qpoly, "_slot_width", recorded)
     scan(n, workers=1)
     for table in tables:
         assert 0 < table.cache_info().currsize <= (n + 1) * (n + 2) // 2, table
-    # is_cyclotomic_product's (d, phi(d)) list covers the largest degree,
-    # [n]!'s, and no more: about 1.94 D orders have phi(d) <= D, 41 at
-    # D = 21; its packed Phi_d hold one entry per order tried
+    # is_cyclotomic_product keeps one (d, phi(d)) list per power of two
+    # up to the largest degree, [n]!'s, and one packed Phi_d per order
+    # tried at each slot width
     degree = n * (n - 1) // 2
-    assert _TABLES.orders == _orders_upto(degree)
-    assert len(_TABLES.orders) <= 2 * degree
-    assert 0 < len(_TABLES.packed) <= cyclotomic.cache_info().currsize
+    assert 0 < qpoly._orders_upto.cache_info().currsize <= degree.bit_length() + 1
+    packed = qpoly._packed_cyclotomic.cache_info().currsize
+    assert 0 < packed <= len(widths) * cyclotomic.cache_info().currsize

@@ -348,7 +348,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NonzeroRemainder, InternalInversionFailure, OSError) as exc:
+    except (ValueError, NonzeroRemainder, InternalInversionFailure, OSError, RecursionError) as exc:
+        # RecursionError: a word too deep for tree or bijection --invert
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,21 +5,22 @@ A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
 values of its block.  Such a split is positive (the prefix holds the
 low values: a direct sum) or negative (the high values: a skew sum).
-One function, _split, finds it; the separating tree, the block
-recursion, interval_sizes and bijection.invert_phi all recurse on the
-two halves it returns, splitting at the smallest prefix block until
-every block is a single letter.  The tree records each split's sign at
-its internal node.  Recognition does not recurse: is_separable reads
-the word once, left to right, merging value blocks on a stack.  The
+Nothing here recurses on the word but the separating tree and
+bijection.invert_phi, which split it with _split at the smallest
+prefix block until every block is a single letter; the tree records
+each split's sign at its internal node.  Recognition and the block
+recursion share one pass, _merge: it reads the word once, left to
+right, merging abutting value blocks on a stack as direct or skew
+sums, and evaluates the recursion on the merges as it goes.  The
 classical characterisation, that the separable permutations are
 exactly those avoiding 3142 and 2413, is kept as a cross-check in the
 tests.  Two independent evaluation routes are kept side by side on
-purpose: a recursion over block splits, and a closed formula read off
-the tree.  Tests confirm they agree with each other and with
-brute-force interval enumeration.  The recursion computes on packed
-integers (qpoly.pack_width), one int product per split, and forms one
-IntPoly at the end.  interval_sizes runs the recursion at q = 1, for
-the two interval sizes alone.
+purpose: the block recursion, and a closed formula read off the tree.
+Tests confirm they agree with each other and with brute-force interval
+enumeration.  The recursion computes on packed integers
+(qpoly.pack_width), one int product per merge, and forms one IntPoly
+at the end.  interval_sizes runs it at q = 1, for the two interval
+sizes alone.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -41,38 +42,49 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-def is_separable(pi: Permutation) -> bool:
-    """True when pi splits into prefix blocks at every level.
+def _merge(word, binomial):
+    """One pass over word, left to right (the stack reduction of Bose,
+    Buss and Lubiw, "Pattern matching for permutations", 1998), that
+    evaluates the block recursion at one point q on the way.  Each
+    letter comes in as a block of one value; while the top two blocks
+    hold abutting value ranges they merge, and their values multiply.
+    A skew sum, whose left block holds the m high values of k, also
+    multiplies by binomial(k, m), the Gaussian binomial [k, m] at q.
+    Returns the last block's value, or None if more blocks are left:
+    a letter from each then spells a pattern with no two adjacent
+    letters of consecutive values, which no separable word has."""
+    stack = []  # (lowest value, highest value, value at q) of each block
+    for a in word:
+        lo = hi = a
+        value = 1
+        while stack:
+            left_lo, left_hi, left_value = stack[-1]
+            if left_hi + 1 == lo:
+                lo = left_lo
+            elif hi + 1 == left_lo:
+                value *= binomial(left_hi - lo + 1, left_hi - left_lo + 1)
+                hi = left_hi
+            else:
+                break
+            value *= left_value
+            stack.pop()
+        stack.append((lo, hi, value))
+    return stack[0][2] if len(stack) == 1 else None
 
-    One pass, left to right (the stack reduction of Bose, Buss and
-    Lubiw, "Pattern matching for permutations", 1998): each letter
-    comes in as a block of one value, and while the top two blocks of
-    the stack hold abutting value ranges they merge into one.  pi is
-    separable exactly when one block is left.  The merges build a
-    separating tree; and if k >= 2 blocks are left, one letter from each
-    spells a pattern of pi in which no two adjacent letters have
-    consecutive values, while in a separable word the two leaves below
-    a deepest node of its tree do.
+
+def is_separable(pi: Permutation) -> bool:
+    """True when pi merges into one block: _merge with every binomial 1.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
     >>> is_separable(Permutation((2, 4, 1, 3)))
     False
     """
-    stack = []  # (lowest, highest) value of each block, left to right
-    for a in pi.word:
-        lo = hi = a
-        while stack:
-            below_lo, below_hi = stack[-1]
-            if below_hi + 1 == lo:
-                lo = below_lo
-            elif hi + 1 == below_lo:
-                hi = below_hi
-            else:
-                break
-            stack.pop()
-        stack.append((lo, hi))
-    return len(stack) == 1
+    return _merge(pi.word, _unit) is not None
+
+
+def _unit(k: int, m: int) -> int:
+    return 1
 
 
 def _split(word, lo: int, hi: int, largest: bool = False):
@@ -199,43 +211,30 @@ def _packed_binomial(n: int, m: int, width: int) -> int:
     return q_binomial(n, m).packed(width)
 
 
-def _block_product(pi: Permutation, word, binomial) -> int:
-    """The lower recursion on word (pi's, or its complement's) evaluated
-    at one point q: binomial(k, m) is the Gaussian binomial [k, m] at
-    that q.  Raises NotSeparable at the first block with no split."""
-    def below(word, lo: int, hi: int) -> int:
-        if len(word) == 1:
-            return 1
-        split = _split(word, lo, hi)
-        if split is None:
-            raise NotSeparable(f"{pi} is not separable: block {word} has no prefix split")
-        sign, left, right = split
-        value = below(*left) * below(*right)
-        if sign == NEGATIVE:
-            value *= binomial(len(word), len(left[0]))
-        return value
-
-    try:
-        return below(word, 1, len(word))
-    finally:
-        below = None  # below's cell refers to below: break that cycle
+def _evaluate(pi: Permutation, word, binomial) -> int:
+    # _merge on word, pi's or its complement's, naming pi when it fails
+    value = _merge(word, binomial)
+    if value is None:
+        raise NotSeparable(f"{pi} is not separable")
+    return value
 
 
 def _recursion(pi: Permutation, word) -> IntPoly:
     # evaluated at q = 2^width, where the polynomial is its packed int:
-    # every value counts at most n! interval elements (pairs of them,
-    # before a binomial), so pack_width's slots never spill
+    # each partial product is coefficientwise at most its block's
+    # polynomial, which counts at most n! elements, so pack_width's
+    # slots never spill
     width = pack_width(len(word))
-    packed = _block_product(pi, word, lambda k, m: _packed_binomial(k, m, width))
+    packed = _evaluate(pi, word, lambda k, m: _packed_binomial(k, m, width))
     return IntPoly.from_packed(packed, width)
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:
-    """Rank generating function of the lower interval by recursion on
-    block splits: a positive split multiplies the pieces, a negative
-    split adds a Gaussian binomial factor for interleaving the blocks.
-    The recursion is its own separability test: it raises NotSeparable
-    at the first block with no prefix split.
+    """Rank generating function of the lower interval by the block
+    recursion, evaluated on _merge's pass: a direct sum multiplies its
+    blocks' generating functions, and a skew sum adds a Gaussian
+    binomial factor for interleaving them.  Raises NotSeparable when
+    more than one block is left.
     """
     return _recursion(pi, pi.word)
 
@@ -256,7 +255,7 @@ def interval_sizes(pi: Permutation) -> tuple[int, int]:
     >>> interval_sizes(Permutation((4, 1, 3, 2)))
     (8, 3)
     """
-    return _block_product(pi, pi.word, comb), _block_product(pi, pi.complement().word, comb)
+    return _evaluate(pi, pi.word, comb), _evaluate(pi, pi.complement().word, comb)
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

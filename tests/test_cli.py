@@ -405,6 +405,28 @@ def test_unwritable_out_is_an_error_exit_1(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+DEEP = ",".join(map(str, range(1, 1201)))  # the identity: 1,199 nested splits
+
+
+@pytest.mark.parametrize("flag", ["--gf", "--dot"])
+def test_interval_of_a_deep_word(capsys, flag):
+    code, out, _ = run(capsys, "interval", DEEP, flag)
+    assert code == 0
+    if flag == "--gf":
+        assert out == "1\n"
+    else:
+        assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize("argv", [("tree", DEEP), ("bijection", DEEP, "--invert", DEEP)])
+def test_too_deep_for_the_recursion_is_an_error_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_parser_built_once_per_process(capsys):
     # the flags before and after the subcommand, set and unset, in one
     # process: no call may see a value another call parsed

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
-from weakbruhat.qpoly import ONE, q_factorial
+from weakbruhat.qpoly import ONE, IntPoly, q_factorial
 from weakbruhat.separable import (
     NEGATIVE,
     POSITIVE,
@@ -234,9 +234,19 @@ def test_interval_sizes_of_long_words():
     assert interval_sizes(pi) == (factorial(150), factorial(300) // factorial(150))
 
 
+def test_merge_pass_reads_words_past_the_recursion_limit():
+    # one loop over the letters, so no depth grows with the word
+    assert interval_sizes(identity(5000)) == (1, factorial(5000))
+    assert gf_below_recursive(Permutation((2, 1, *range(3, 1201)))) == IntPoly((1, 1))
+    assert is_separable(identity(5000))
+    assert is_separable(longest_element(5000))
+    assert not is_separable(Permutation((2, 4, 1, 3, *range(5, 5001))))
+
+
 def test_block_recursion_leaves_no_reference_cycle():
-    # the recursion is a closure that calls itself; once a call returns,
-    # only reference counting should be needed to free it
+    # the merge pass keeps its blocks on a local stack and takes the
+    # binomial as an argument; once a call returns, only reference
+    # counting should be needed to free what it made
     pi = Permutation((4, 1, 3, 2, 7, 5, 6))
     gc.collect()
     gc.disable()

@@ -11,10 +11,10 @@ and sort as tuple words would.  Permutation objects are built only for
 PairTable.entries and the collisions of a failed check.  A table holds
 words of at most MAX_LETTERS letters, and without force at most
 weak_order.WORD_BUDGET pairs.
-invert_phi reconstructs the unique preimage of a target w by recursion
-over pi's block structure, verifying its answer and raising
-InternalInversionFailure if the check fails, since the construction is
-easy to get subtly wrong.
+invert_phi reconstructs the unique preimage of a target w by a walk
+down pi's separating tree, built once, solving each block from its two
+halves.  It verifies its answer and raises InternalInversionFailure if
+the check fails, since the construction is easy to get subtly wrong.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
-from .separable import NEGATIVE, _split, is_separable
+from .separable import NEGATIVE, Leaf, TreeNode, is_separable, separating_tree
 from .weak_order import check_budget, interval
 
 
@@ -134,26 +134,22 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     return BijectionReport(is_bijection=False, collisions=collisions)
 
 
-def _construct(p: tuple, w: tuple):
-    """Words (u, v) with u <= p <= v and phi(u, v) = w, for a separable
-    word p and a target w over the letters 1..k."""
-    k = len(p)
-    if k == 1:
-        return p, p
-    # each word is a tuple built from a list (see Permutation.complement)
-    split = _split(p, 1, k)
-    if split is None:
-        raise NotSeparable(f"block {p} has no prefix split")
-    sign, (left, _, _), (right, _, _) = split
-    if sign == NEGATIVE:
+def _construct(node: TreeNode, w, flip: bool):
+    """Words (u, v) with u <= p <= v and phi(u, v) = w, where p is the
+    word of node's block over the letters 1..k, complemented when flip
+    is set, and w is a target over the same letters."""
+    if isinstance(node, Leaf):
+        return (1,), (1,)
+    k = node.size
+    if (node.sign == NEGATIVE) != flip:
         # Complements exchange the two interval roles and flip the
         # split to positive, so solve there and map the answer back.
-        w_inv = tuple(positions(w)[1:])
-        u2, v2 = _construct(tuple([k + 1 - a for a in p]), w_inv)
+        u2, v2 = _construct(node, positions(w)[1:], not flip)
+        # each word is a tuple built from a list (see Permutation.complement)
         return tuple([k + 1 - a for a in v2]), tuple([k + 1 - a for a in u2])
-    m = len(left)
-    u1, v1 = _construct(left, tuple([a for a in w if a <= m]))
-    u2, v2 = _construct(tuple([a - m for a in right]), tuple([a - m for a in w if a > m]))
+    m = node.left.size
+    u1, v1 = _construct(node.left, [a for a in w if a <= m], flip)
+    u2, v2 = _construct(node.right, [a - m for a in w if a > m], flip)
     u = u1 + tuple([a + m for a in u2])
     v = list(v1) + [a + m for a in v2]
     # Shift the low letters rightward to the positions they hold in w,
@@ -168,8 +164,8 @@ def _construct(p: tuple, w: tuple):
 def invert_phi(pi: Permutation, w: Permutation):
     """The unique (u, v) with u <= pi <= v and phi(u, v) = w.
 
-    The recursive construction is always verified before returning; a
-    pair that fails the check raises InternalInversionFailure.
+    The construction is always verified before returning; a pair that
+    fails the check raises InternalInversionFailure.
 
     >>> u, v = invert_phi(Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4)))
     >>> print(u, v)
@@ -181,7 +177,7 @@ def invert_phi(pi: Permutation, w: Permutation):
         raise ValueError(f"size mismatch: {pi.size} vs {w.size}")
     if not is_separable(pi):
         raise NotSeparable(f"{pi} contains 3142 or 2413")
-    u, v = map(Permutation, _construct(pi.word, w.word))
+    u, v = map(Permutation, _construct(separating_tree(pi), w.word, False))
     if phi(u, v) == w and leq_weak(u, pi) and leq_weak(pi, v):
         return u, v
     raise InternalInversionFailure(

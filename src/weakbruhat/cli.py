@@ -27,7 +27,6 @@ from .perm import Permutation, identity, longest_element, parse_permutation
 from .poset import inversion_poset, le_gf
 from .qpoly import IntPoly, is_cyclotomic_product, q_factorial
 from .separable import (
-    Leaf,
     gf_above_recursive,
     gf_below_recursive,
     interval_sizes,
@@ -35,6 +34,7 @@ from .separable import (
     separating_tree,
     tree_dot,
     tree_json,
+    tree_text,
 )
 from .survey import _atomic_write, _check_scan_args, scan
 from .verify import run_suite, suite_names
@@ -152,16 +152,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _tree_text(node, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    if isinstance(node, Leaf):
-        return [f"{pad}leaf {node.value}"]
-    lines = [f"{pad}{node.sign}"]
-    lines.extend(_tree_text(node.left, depth + 1))
-    lines.extend(_tree_text(node.right, depth + 1))
-    return lines
-
-
 def _cmd_tree(args) -> int:
     pi = _parse_perm(args.perm)
     root = separating_tree(pi)
@@ -170,7 +160,7 @@ def _cmd_tree(args) -> int:
     elif args.json:
         text = json.dumps(tree_json(root), indent=2)
     else:
-        text = "\n".join(_tree_text(root))
+        text = tree_text(root)
     _output(args, text + "\n")
     return 0
 
@@ -348,9 +338,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NonzeroRemainder, InternalInversionFailure, OSError, RecursionError) as exc:
-        # RecursionError: a word too deep for tree or bijection --invert
+    except (ValueError, NonzeroRemainder, InternalInversionFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # json's encoder (tree --json) and bijection --invert nest a call per tree level
+        limit = sys.getrecursionlimit()
+        print(f"error: {args.command}: the word nests deeper than the recursion limit ({limit})", file=sys.stderr)
         return 1
 
 

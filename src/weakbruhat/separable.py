@@ -5,16 +5,16 @@ A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
 values of its block.  Such a split is positive (the prefix holds the
 low values: a direct sum) or negative (the high values: a skew sum).
-Nothing here recurses on the word but the separating tree and
-bijection.invert_phi, which split it with _split at the smallest
-prefix block until every block is a single letter; the tree records
-each split's sign at its internal node.  Recognition and the block
+Nothing here recurses on the word.  Recognition and the block
 recursion share one pass, _merge: it reads the word once, left to
 right, merging abutting value blocks on a stack as direct or skew
-sums, and evaluates the recursion on the merges as it goes.  The
-classical characterisation, that the separable permutations are
-exactly those avoiding 3142 and 2413, is kept as a cross-check in the
-tests.  Two independent evaluation routes are kept side by side on
+sums, and evaluates the recursion on the merges as it goes.
+separating_tree runs the same reduction right to left and keeps each
+merge as a signed node, so every node splits its block at the
+smallest prefix block; the renderers walk the tree with explicit
+stacks.  The classical characterisation, that the separable
+permutations are exactly those avoiding 3142 and 2413, is kept as a
+cross-check in the tests.  Two independent evaluation routes are kept side by side on
 purpose: the block recursion, and a closed formula read off the tree.
 Tests confirm they agree with each other and with brute-force interval
 enumeration.  The recursion computes on packed integers
@@ -87,34 +87,6 @@ def _unit(k: int, m: int) -> int:
     return 1
 
 
-def _split(word, lo: int, hi: int, largest: bool = False):
-    """Split a block holding the values lo..hi after a prefix whose
-    letters form a value block anchored at lo or hi; the smallest such
-    prefix by default, the largest with largest=True.  Returns None when
-    there is none, else (sign, (left, llo, lhi), (right, rlo, rhi)):
-    the sign is POSITIVE when the prefix holds the low values and
-    NEGATIVE when it holds the high ones, and each half comes with its
-    own value range."""
-    split = None
-    mn = mx = word[0]
-    for m in range(1, len(word)):
-        a = word[m - 1]
-        if a < mn:
-            mn = a
-        if a > mx:
-            mx = a
-        if mx - mn + 1 == m and (mn == lo or mx == hi):
-            split = m, mn == lo
-            if not largest:
-                break
-    if split is None:
-        return None
-    m, low = split
-    if low:
-        return POSITIVE, (word[:m], lo, lo + m - 1), (word[m:], lo + m, hi)
-    return NEGATIVE, (word[:m], hi - m + 1, hi), (word[m:], lo, hi - m)
-
-
 @dataclass(frozen=True)
 class Leaf:
     value: int
@@ -136,24 +108,37 @@ TreeNode = Union[Leaf, Internal]
 
 
 def separating_tree(pi: Permutation, largest: bool = False) -> TreeNode:
-    """Root of the canonical separating tree, splitting at the smallest
-    valid prefix block each time (largest=True picks the other extreme,
-    for checking that tree choice does not matter).
+    """Root of the canonical separating tree, which splits each block at
+    its smallest prefix block: _merge's stack reduction read right to
+    left, with each merge kept as a node.  Read left to right
+    (largest=True) it splits at the largest, for checking that tree
+    choice does not matter.
 
     >>> t = separating_tree(Permutation((4, 2, 3, 1)))
     >>> t.sign, t.right.sign, t.right.left.sign
     ('negative', 'negative', 'positive')
     """
-    def build(word, lo: int, hi: int) -> TreeNode:
-        if len(word) == 1:
-            return Leaf(word[0])
-        split = _split(word, lo, hi, largest)
-        if split is None:
-            raise NotSeparable(f"{pi} has a block with no prefix split")
-        sign, left, right = split
-        return Internal(build(*left), build(*right), sign, len(word))
-
-    return build(pi.word, 1, pi.size)
+    stack = []  # (lowest value, highest value, node) of each block
+    for a in pi.word if largest else reversed(pi.word):
+        lo = hi = a
+        node = Leaf(a)
+        while stack:
+            other_lo, other_hi, other = stack[-1]
+            if other_hi + 1 == lo:
+                lo, other_low = other_lo, True
+            elif hi + 1 == other_lo:
+                hi, other_low = other_hi, False
+            else:
+                break
+            stack.pop()
+            # left to right, the stacked block is the left half
+            left, right = (other, node) if largest else (node, other)
+            sign = POSITIVE if other_low == largest else NEGATIVE
+            node = Internal(left, right, sign, hi - lo + 1)
+        stack.append((lo, hi, node))
+    if len(stack) > 1:
+        raise NotSeparable(f"{pi} is not separable")
+    return stack[0][2]
 
 
 def _closed_formula(root: TreeNode, sign: str) -> IntPoly:
@@ -288,31 +273,54 @@ def gf_above_from_complement(pi: Permutation) -> IntPoly:
     return q_factorial(pi.size).exact_div(gf_below_recursive(pi))
 
 
-def tree_json(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": node.value}
-    return {"sign": node.sign, "children": [tree_json(node.left), tree_json(node.right)]}
+def tree_text(root: TreeNode) -> str:
+    """A line per node in preorder, each indented two spaces deeper
+    than its parent."""
+    lines = []
+    stack = [(root, "")]
+    while stack:
+        node, pad = stack.pop()
+        if isinstance(node, Leaf):
+            lines.append(f"{pad}leaf {node.value}")
+        else:
+            lines.append(f"{pad}{node.sign}")
+            stack += [(node.right, pad + "  "), (node.left, pad + "  ")]
+    return "\n".join(lines)
+
+
+def tree_json(root: TreeNode) -> dict:
+    """{"leaf": value}, or {"sign": ..., "children": [left, right]}."""
+    top = []
+    stack = [(root, top)]
+    while stack:
+        node, siblings = stack.pop()
+        if isinstance(node, Leaf):
+            siblings.append({"leaf": node.value})
+        else:
+            children = []
+            siblings.append({"sign": node.sign, "children": children})
+            stack += [(node.right, children), (node.left, children)]
+    return top[0]
 
 
 def tree_dot(root: TreeNode) -> str:
-    """DOT rendering with signed internal nodes and letter leaves."""
+    """DOT rendering with signed internal nodes and letter leaves,
+    numbered in preorder; each edge line follows its child's subtree."""
     lines = ["digraph separating_tree {"]
-    counter = 0
-
-    def emit(node: TreeNode) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
+    # (node, its number) or an edge line, pushed before its child
+    stack = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, i = item
         if isinstance(node, Leaf):
-            lines.append(f'  {name} [label="{node.value}" shape=plaintext];')
-        else:
-            label = "Positive Node" if node.sign == POSITIVE else "Negative Node"
-            lines.append(f'  {name} [label="{label}"];')
-            for child in (node.left, node.right):
-                child_name = emit(child)
-                lines.append(f"  {name} -> {child_name};")
-        return name
-
-    emit(root)
+            lines.append(f'  n{i} [label="{node.value}" shape=plaintext];')
+            continue
+        label = "Positive Node" if node.sign == POSITIVE else "Negative Node"
+        lines.append(f'  n{i} [label="{label}"];')
+        j = i + 2 * node.left.size  # the left subtree has 2 * size - 1 nodes
+        stack += [f"  n{i} -> n{j};", (node.right, j), f"  n{i} -> n{i + 1};", (node.left, i + 1)]
     lines.append("}")
     return "\n".join(lines)

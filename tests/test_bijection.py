@@ -104,9 +104,9 @@ def test_invert_phi_beyond_exhaustive(words):
 
 
 def test_invert_phi_raises_on_a_wrong_construction(monkeypatch):
-    # _construct works on words; answer with pi's own word twice
+    # _construct walks pi's separating tree; answer with pi's own word twice
     pi, w = Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4))
-    monkeypatch.setattr(bijection, "_construct", lambda p, w: (p, p))
+    monkeypatch.setattr(bijection, "_construct", lambda node, w, flip: (pi.word, pi.word))
     with pytest.raises(InternalInversionFailure, match=str(pi)):
         invert_phi(pi, w)
 

@@ -16,6 +16,7 @@ from weakbruhat.qpoly import ONE, IntPoly, q_factorial
 from weakbruhat.separable import (
     NEGATIVE,
     POSITIVE,
+    Internal,
     Leaf,
     gf_above_closed,
     gf_above_from_complement,
@@ -28,6 +29,7 @@ from weakbruhat.separable import (
     separating_tree,
     tree_dot,
     tree_json,
+    tree_text,
 )
 from weakbruhat.survey import schroder
 from weakbruhat.weak_order import interval, rank_gf
@@ -154,6 +156,67 @@ def test_separating_tree_root_split_fixtures():
     with pytest.raises(NotSeparable):
         separating_tree(Permutation((2, 4, 1, 3)))
     assert separating_tree(Permutation((1,))) == Leaf(1)
+
+
+def reference_tree(word, lo, hi, largest=False):
+    """The separating tree by its top-down definition, for a block word
+    holding the values lo..hi: the left subtree holds the smallest
+    proper prefix (the largest with largest=True) whose letters fill a
+    value range anchored at lo or at hi, and the sign is positive when
+    it is anchored at lo.  None when some block has no such prefix."""
+    if len(word) == 1:
+        return Leaf(word[0])
+    sizes = range(len(word) - 1, 0, -1) if largest else range(1, len(word))
+    for m in sizes:
+        mn, mx = min(word[:m]), max(word[:m])
+        if mx - mn + 1 != m:
+            continue
+        if mn == lo:
+            sign, left, right = POSITIVE, (lo, lo + m - 1), (lo + m, hi)
+        elif mx == hi:
+            sign, left, right = NEGATIVE, (hi - m + 1, hi), (lo, hi - m)
+        else:
+            continue
+        left = reference_tree(word[:m], *left, largest)
+        right = reference_tree(word[m:], *right, largest)
+        if left is None or right is None:
+            return None
+        return Internal(left, right, sign, len(word))
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_separating_tree_matches_its_top_down_definition(n):
+    for pi in all_permutations(n):
+        for largest in (False, True):
+            expected = reference_tree(pi.word, 1, n, largest)
+            if expected is None:
+                with pytest.raises(NotSeparable, match=str(pi)):
+                    separating_tree(pi, largest=largest)
+            else:
+                assert separating_tree(pi, largest=largest) == expected, (pi, largest)
+
+
+def test_separating_tree_of_long_words():
+    # one loop over the letters, so no depth grows with the word; each
+    # tree is a comb, whose every smallest (largest) prefix block is
+    # the first letter (all letters but the last)
+    for pi, sign in ((identity(5000), POSITIVE), (longest_element(5000), NEGATIVE)):
+        for largest in (False, True):
+            node = separating_tree(pi, largest=largest)
+            for size in range(5000, 1, -1):
+                assert (node.sign, node.size) == (sign, size)
+                if largest:
+                    assert node.right == Leaf(pi.word[size - 1])
+                    node = node.left
+                else:
+                    assert node.left == Leaf(pi.word[5000 - size])
+                    node = node.right
+            assert node == Leaf(pi.word[0] if largest else pi.word[-1])
+        root = separating_tree(pi)
+        assert tree_text(root).count("leaf") == 5000
+        assert tree_dot(root).count("->") == 2 * 4999
+        assert tree_json(root)["sign"] == sign
 
 
 def test_separating_tree_structure():
@@ -292,6 +355,35 @@ def test_tree_json_shape():
     assert left == {"leaf": 3}
     assert right["sign"] == "positive"
     assert right["children"] == [{"leaf": 1}, {"leaf": 2}]
+
+
+def test_tree_text_fixture():
+    assert tree_text(separating_tree(Permutation((4, 2, 3, 1)))) == "\n".join([
+        "negative",
+        "  leaf 4",
+        "  negative",
+        "    positive",
+        "      leaf 2",
+        "      leaf 3",
+        "    leaf 1",
+    ])
+
+
+def test_tree_dot_fixture():
+    # nodes in preorder; each edge line follows its child's subtree
+    assert tree_dot(separating_tree(Permutation((3, 1, 2)))) == "\n".join([
+        "digraph separating_tree {",
+        '  n0 [label="Negative Node"];',
+        '  n1 [label="3" shape=plaintext];',
+        "  n0 -> n1;",
+        '  n2 [label="Positive Node"];',
+        '  n3 [label="1" shape=plaintext];',
+        "  n2 -> n3;",
+        '  n4 [label="2" shape=plaintext];',
+        "  n2 -> n4;",
+        "  n0 -> n2;",
+        "}",
+    ])
 
 
 def test_tree_dot_labels():

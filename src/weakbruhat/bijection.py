@@ -140,11 +140,11 @@ def _construct(node: TreeNode, w, flip: bool):
     is set, and w is a target over the same letters."""
     if isinstance(node, Leaf):
         return (1,), (1,)
-    k = node.size
     if (node.sign == NEGATIVE) != flip:
         # Complements exchange the two interval roles and flip the
         # split to positive, so solve there and map the answer back.
         u2, v2 = _construct(node, positions(w)[1:], not flip)
+        k = node.size
         # each word is a tuple built from a list (see Permutation.complement)
         return tuple([k + 1 - a for a in v2]), tuple([k + 1 - a for a in u2])
     m = node.left.size

@@ -11,10 +11,10 @@ and sort as tuple words would.  Permutation objects are built only for
 PairTable.entries and the collisions of a failed check.  A table holds
 words of at most MAX_LETTERS letters, and without force at most
 weak_order.WORD_BUDGET pairs.
-invert_phi reconstructs the unique preimage of a target w by a walk
-down pi's separating tree, built once, solving each block from its two
-halves.  It verifies its answer and raises InternalInversionFailure if
-the check fails, since the construction is easy to get subtly wrong.
+invert_phi reconstructs the unique preimage of a target w by one loop
+down pi's separating tree that fills u and v slot by slot.  It verifies
+its answer and raises InternalInversionFailure if the check fails,
+since the construction is easy to get subtly wrong.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from itertools import product
 from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
-from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, positions, word_text
-from .separable import NEGATIVE, Leaf, TreeNode, is_separable, separating_tree
+from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, word_text
+from .separable import POSITIVE, Leaf, TreeNode, is_separable, separating_tree
 from .weak_order import check_budget, interval
 
 
@@ -134,31 +134,37 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     return BijectionReport(is_bijection=False, collisions=collisions)
 
 
-def _construct(node: TreeNode, w, flip: bool):
+def _construct(root: TreeNode, w):
     """Words (u, v) with u <= p <= v and phi(u, v) = w, where p is the
-    word of node's block over the letters 1..k, complemented when flip
-    is set, and w is a target over the same letters."""
-    if isinstance(node, Leaf):
-        return (1,), (1,)
-    if (node.sign == NEGATIVE) != flip:
-        # Complements exchange the two interval roles and flip the
-        # split to positive, so solve there and map the answer back.
-        u2, v2 = _construct(node, positions(w)[1:], not flip)
-        k = node.size
-        # each word is a tuple built from a list (see Permutation.complement)
-        return tuple([k + 1 - a for a in v2]), tuple([k + 1 - a for a in u2])
-    m = node.left.size
-    u1, v1 = _construct(node.left, [a for a in w if a <= m], flip)
-    u2, v2 = _construct(node.right, [a - m for a in w if a > m], flip)
-    u = u1 + tuple([a + m for a in u2])
-    v = list(v1) + [a + m for a in v2]
-    # Shift the low letters rightward to the positions they hold in w,
-    # highest of the m first; every adjacent swap passes a high letter,
-    # so the result stays above the concatenation in the weak order.
-    targets = [i for i, a in enumerate(w) if a <= m]
-    for j in range(m - 1, -1, -1):
-        v.insert(targets[j], v.pop(j))
-    return u, tuple(v)
+    word of root's tree, filled from the root down.  Each block owns
+    slots of u and of v, ascending, and a target t: its j-th slot of v
+    takes the letter of its t[j]-th slot of u.  Each half's target is t
+    on its own letters, standardised to 1..size."""
+    n = root.size
+    u, v = [0] * n, [0] * n
+    stack = [(root, range(n), range(n), w)]
+    while stack:
+        node, u_slots, v_slots, t = stack.pop()
+        if isinstance(node, Leaf):
+            u[u_slots[0]] = v[v_slots[0]] = node.value
+            continue
+        m = node.left.size
+        if node.sign == POSITIVE:
+            # the low half takes the first m slots of u, and those of v where t <= m
+            low = [a <= m for a in t]
+            low_v = [s for s, x in zip(v_slots, low) if x]
+            high_v = [s for s, x in zip(v_slots, low) if not x]
+            stack.append((node.left, u_slots[:m], low_v, [a for a in t if a <= m]))
+            stack.append((node.right, u_slots[m:], high_v, [a - m for a in t if a > m]))
+        else:
+            # the high half takes the first m slots of v, and those of u that t[:m] names
+            rank = [0] * (len(t) + 1)
+            for half, v_half, t_half in (node.left, v_slots[:m], t[:m]), (node.right, v_slots[m:], t[m:]):
+                named = sorted(t_half)
+                for r, a in enumerate(named, 1):
+                    rank[a] = r
+                stack.append((half, [u_slots[a - 1] for a in named], v_half, [rank[a] for a in t_half]))
+    return tuple(u), tuple(v)
 
 
 def invert_phi(pi: Permutation, w: Permutation):
@@ -177,7 +183,7 @@ def invert_phi(pi: Permutation, w: Permutation):
         raise ValueError(f"size mismatch: {pi.size} vs {w.size}")
     if not is_separable(pi):
         raise NotSeparable(f"{pi} contains 3142 or 2413")
-    u, v = map(Permutation, _construct(separating_tree(pi), w.word, False))
+    u, v = map(Permutation, _construct(separating_tree(pi), w.word))
     if phi(u, v) == w and leq_weak(u, pi) and leq_weak(pi, v):
         return u, v
     raise InternalInversionFailure(

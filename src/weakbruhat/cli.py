@@ -84,9 +84,9 @@ def _rows(data: dict) -> list[tuple[str, str]]:
 
 
 def _memory_note(objects: int, exact: bool = False) -> None:
-    # rough peak: one Python object row per enumerated object; exact when
-    # objects is the count of words the command enumerates
-    mb = max(1, round(objects * 150 / 1e6))
+    # rough peak: one Python object row per enumerated object, exact when objects
+    # counts the words enumerated; rounded half to even in integers (2^n overflows a float)
+    mb = max(1, round(objects * 150, -6) // 10**6)
     count = f"{objects} words, " if exact else ""
     print(f"guard override active; {count}memory estimate ~{mb} MB", file=sys.stderr)
 
@@ -158,7 +158,7 @@ def _cmd_tree(args) -> int:
     if args.dot:
         text = tree_dot(root)
     elif args.json:
-        text = json.dumps(tree_json(root), indent=2)
+        text = tree_json(root)
     else:
         text = tree_text(root)
     _output(args, text + "\n")
@@ -342,9 +342,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # json's encoder (tree --json) and bijection --invert nest a call per tree level
+        # le_gf under --force and analyze's q_factorial recurse per letter
         limit = sys.getrecursionlimit()
-        print(f"error: {args.command}: the word nests deeper than the recursion limit ({limit})", file=sys.stderr)
+        print(f"error: {args.command}: a step recursing once per letter passed the recursion limit ({limit})", file=sys.stderr)
         return 1
 
 

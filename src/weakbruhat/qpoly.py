@@ -10,7 +10,8 @@ the divisibility test used elsewhere in the package.
 Products go through packed integers (Kronecker substitution): at
 q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
-slots.  le_gf and the block recursion compute on such ints throughout.
+slots.  le_gf and the block recursion, with its Gaussian binomials
+(packed_binomial), compute on such ints throughout.
 
 The cyclotomic-product test packs each polynomial once, at its own
 slot width: whole bytes with 16 bits of room above the largest
@@ -274,8 +275,20 @@ def q_factorial(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def packed_binomial(n: int, m: int, width: int) -> int:
+    """[n, m] at q = 2^width: the product of (1 - q^(n-i+1)) / (1 - q^i), i = 1..min(m, n-m).
+    Each partial product is the polynomial [n, i], so each division is exact."""
+    if not 0 <= m <= n:
+        raise ValueError(f"q_binomial requires 0 <= m <= n, got n={n} m={m}")
+    value = 1
+    for i in range(1, min(m, n - m) + 1):
+        value = value * ((1 << width * (n - i + 1)) - 1) // ((1 << width * i) - 1)
+    return value
+
+
+@lru_cache(maxsize=None)
 def q_binomial(n: int, m: int) -> IntPoly:
-    """Gaussian binomial [n]!/([m]![n-m]!), exact by construction.
+    """Gaussian binomial [n]!/([m]![n-m]!): packed_binomial at pack_width(n), unpacked.
 
     >>> print(q_binomial(3, 1))
     1 + q + q^2
@@ -284,9 +297,8 @@ def q_binomial(n: int, m: int) -> IntPoly:
         ...
     ValueError: q_binomial requires 0 <= m <= n, got n=2 m=3
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"q_binomial requires 0 <= m <= n, got n={n} m={m}")
-    return q_factorial(n).exact_div(q_factorial(m) * q_factorial(n - m))
+    width = pack_width(n)
+    return IntPoly.from_packed(packed_binomial(n, m, width), width)
 
 
 @lru_cache(maxsize=None)

@@ -11,16 +11,16 @@ right, merging abutting value blocks on a stack as direct or skew
 sums, and evaluates the recursion on the merges as it goes.
 separating_tree runs the same reduction right to left and keeps each
 merge as a signed node, so every node splits its block at the
-smallest prefix block; the renderers walk the tree with explicit
-stacks.  The classical characterisation, that the separable
-permutations are exactly those avoiding 3142 and 2413, is kept as a
-cross-check in the tests.  Two independent evaluation routes are kept side by side on
+smallest prefix block; the renderers write their text by explicit-stack
+walks.  The classical characterisation, that the separable permutations
+are exactly those avoiding 3142 and 2413, is kept as a cross-check in
+the tests.  Two independent evaluation routes are kept side by side on
 purpose: the block recursion, and a closed formula read off the tree.
 Tests confirm they agree with each other and with brute-force interval
 enumeration.  The recursion computes on packed integers
-(qpoly.pack_width), one int product per merge, and forms one IntPoly
-at the end.  interval_sizes runs it at q = 1, for the two interval
-sizes alone.
+(qpoly.pack_width), one int product per merge and qpoly.packed_binomial
+per skew sum, and forms one IntPoly at the end.  interval_sizes runs it
+at q = 1, for the two interval sizes alone.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -30,13 +30,12 @@ interval [pi, w0] is its complement dual: read backwards it is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Union
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation, avoids_231
-from .qpoly import ONE, IntPoly, pack_width, q_binomial, q_factorial, q_int
+from .qpoly import ONE, IntPoly, pack_width, packed_binomial, q_factorial, q_int
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -187,15 +186,6 @@ def gf_above_closed(root: TreeNode) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-# Gaussian binomials of the blocks, packed at the slot width of the
-# whole word.  pack_width gives every short word one width, so for
-# them the keys are the O(n^2) pairs (n, m); each longer word length
-# adds its own width.
-@lru_cache(maxsize=None)
-def _packed_binomial(n: int, m: int, width: int) -> int:
-    return q_binomial(n, m).packed(width)
-
-
 def _evaluate(pi: Permutation, word, binomial) -> int:
     # _merge on word, pi's or its complement's, naming pi when it fails
     value = _merge(word, binomial)
@@ -210,7 +200,7 @@ def _recursion(pi: Permutation, word) -> IntPoly:
     # polynomial, which counts at most n! elements, so pack_width's
     # slots never spill
     width = pack_width(len(word))
-    packed = _evaluate(pi, word, lambda k, m: _packed_binomial(k, m, width))
+    packed = _evaluate(pi, word, lambda k, m: packed_binomial(k, m, width))
     return IntPoly.from_packed(packed, width)
 
 
@@ -288,19 +278,23 @@ def tree_text(root: TreeNode) -> str:
     return "\n".join(lines)
 
 
-def tree_json(root: TreeNode) -> dict:
-    """{"leaf": value}, or {"sign": ..., "children": [left, right]}."""
-    top = []
-    stack = [(root, top)]
+def tree_json(root: TreeNode) -> str:
+    """{"leaf": value} or {"sign": ..., "children": [left, right]} as json.dumps(...,
+    indent=2) lays it out, by a preorder walk that pushes closing text first."""
+    parts = []
+    stack = [(root, "")]
     while stack:
-        node, siblings = stack.pop()
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, pad = item
         if isinstance(node, Leaf):
-            siblings.append({"leaf": node.value})
+            parts.append(f'{pad}{{\n{pad}  "leaf": {node.value}\n{pad}}}')
         else:
-            children = []
-            siblings.append({"sign": node.sign, "children": children})
-            stack += [(node.right, children), (node.left, children)]
-    return top[0]
+            parts.append(f'{pad}{{\n{pad}  "sign": "{node.sign}",\n{pad}  "children": [\n')
+            stack += [f"\n{pad}  ]\n{pad}}}", (node.right, pad + "    "), ",\n", (node.left, pad + "    ")]
+    return "".join(parts)
 
 
 def tree_dot(root: TreeNode) -> str:

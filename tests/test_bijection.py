@@ -6,6 +6,7 @@ at size 4."""
 
 import csv
 import io
+import random
 from math import factorial
 
 import pytest
@@ -75,7 +76,7 @@ def test_failure_set_is_exactly_non_separable(n):
         assert check_bijection(pi).is_bijection == is_separable(pi)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
 def test_invert_phi_round_trip(n):
     for pi in all_permutations(n):
         if not is_separable(pi):
@@ -103,10 +104,25 @@ def test_invert_phi_beyond_exhaustive(words):
     assert leq_weak(pi, v)
 
 
+# 1,200 letters: 1,199 nested splits, and 600 pairs under one split
+@pytest.mark.parametrize(
+    "word",
+    [tuple(range(1200, 0, -1)), tuple(a - (-1) ** a for a in range(1, 1201))],
+    ids=["reversal", "swapped-pairs"],
+)
+def test_invert_phi_of_long_words(word):
+    rng = random.Random(1200)
+    pi, w = Permutation(word), Permutation(tuple(rng.sample(range(1, 1201), 1200)))
+    u, v = invert_phi(pi, w)
+    assert phi(u, v) == w
+    assert leq_weak(u, pi) and leq_weak(pi, v)
+
+
 def test_invert_phi_raises_on_a_wrong_construction(monkeypatch):
-    # _construct walks pi's separating tree; answer with pi's own word twice
+    # _construct fills u and v from pi's separating tree; answer with
+    # pi's own word twice
     pi, w = Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4))
-    monkeypatch.setattr(bijection, "_construct", lambda node, w, flip: (pi.word, pi.word))
+    monkeypatch.setattr(bijection, "_construct", lambda root, w: (pi.word, pi.word))
     with pytest.raises(InternalInversionFailure, match=str(pi)):
         invert_phi(pi, w)
 

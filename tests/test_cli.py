@@ -427,15 +427,38 @@ def test_tree_of_a_deep_word(capsys, flags, leaf):
     assert out.count(leaf) == 1200
 
 
-# json's encoder and the inverse construction still nest a call per
-# level of the tree
-@pytest.mark.parametrize("argv", [("tree", DEEP, "--json"), ("bijection", DEEP, "--invert", DEEP)])
-def test_too_deep_for_the_recursion_is_an_error_exit_1(capsys, argv):
+# the JSON writer and the inverse construction are loops too
+@pytest.mark.parametrize("argv", [("tree", DEEP, "--json"), ("--json", "bijection", DEEP, "--invert", DEEP)])
+def test_json_tree_and_inverse_of_a_deep_word(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 1
+    assert code == 0 and err == ""
+    if argv[0] == "tree":
+        # json.loads would nest a call per level, so count the leaves
+        assert out.count('"leaf"') == 1200
+    else:
+        data = json.loads(out)
+        assert data["u"] == data["v"] == data["word"] == DEEP
+
+
+def test_a_step_recursing_per_letter_is_an_error_exit_1(capsys):
+    # le_gf under --force deletes one letter per level of its recursion
     limit = sys.getrecursionlimit()
-    assert err == f"error: {argv[0]}: the word nests deeper than the recursion limit ({limit})\n"
-    assert out == ""
+    word = ",".join(map(str, (2, 4, 1, 3, *range(5, limit + 101))))
+    code, out, err = run(capsys, "--force", "analyze", word)
+    assert code == 1 and out == ""
+    note, message = err.splitlines()
+    assert note.startswith("guard override active; memory estimate ~")
+    assert message == f"error: analyze: a step recursing once per letter passed the recursion limit ({limit})"
+
+
+@pytest.mark.parametrize("objects", [2**1100, 30_000], ids=["2^1100", "30000"])
+def test_memory_note_rounds_in_integers(capsys, objects):
+    # half to even, as round() on the float did where a float held it
+    whole, rest = divmod(objects * 150, 10**6)
+    mb = whole + (2 * rest > 10**6 or (2 * rest == 10**6 and whole % 2))
+    cli._memory_note(objects)
+    assert capsys.readouterr().err == f"guard override active; memory estimate ~{mb} MB\n"
+    assert objects != 30_000 or mb == 4
 
 
 def test_parser_built_once_per_process(capsys):

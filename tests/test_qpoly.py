@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbruhat.errors import NonzeroRemainder
+from weakbruhat.perm import Permutation
 from weakbruhat.qpoly import (
     ONE,
     IntPoly,
@@ -18,10 +19,12 @@ from weakbruhat.qpoly import (
     _orders_upto,
     cyclotomic,
     is_cyclotomic_product,
+    packed_binomial,
     q_binomial,
     q_factorial,
     q_int,
 )
+from weakbruhat.separable import gf_below_recursive
 
 ZERO = IntPoly()
 
@@ -71,6 +74,21 @@ def test_q_binomial_cached_value_is_exact_and_unshared():
     _ = cached * cached * q_int(3) * cached
     assert q_binomial(9, 4) is cached
     assert cached.coeffs == before == fresh.coeffs
+
+
+@pytest.mark.parametrize("width", (64, 67, 90))
+def test_packed_binomial_is_the_factorial_quotient(width):
+    # the quotient of q-factorials is the reference route
+    for k in range(31):
+        for m in range(k + 1):
+            quotient = q_factorial(k).exact_div(q_factorial(m) * q_factorial(k - m))
+            assert packed_binomial(k, m, width) == quotient.packed(width), (k, m)
+
+
+def test_a_long_skew_sum_takes_one_binomial():
+    # 300,1,2,...,299 is one skew sum of 1 and 299 letters: [300, 1]
+    pi = Permutation((300, *range(1, 300)))
+    assert gf_below_recursive(pi) == q_int(300)
 
 
 def test_q_binomial_rejects_bad_args():

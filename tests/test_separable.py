@@ -3,6 +3,7 @@ the three formula routes for interval generating functions, all pinned
 to hand-checked fixtures and to brute-force enumeration."""
 
 import gc
+import json
 from math import factorial
 
 import pytest
@@ -216,7 +217,11 @@ def test_separating_tree_of_long_words():
         root = separating_tree(pi)
         assert tree_text(root).count("leaf") == 5000
         assert tree_dot(root).count("->") == 2 * 4999
-        assert tree_json(root)["sign"] == sign
+    # the JSON text grows with the square of the depth: 1,200 letters
+    for pi, sign in ((identity(1200), POSITIVE), (longest_element(1200), NEGATIVE)):
+        text = tree_json(separating_tree(pi))
+        assert text.startswith(f'{{\n  "sign": "{sign}",\n  "children": [\n')
+        assert text.count('"leaf"') == 1200 and text.count('"sign"') == 1199
 
 
 def test_separating_tree_structure():
@@ -348,8 +353,23 @@ def test_gf_below_231_matches_recursion(n):
             assert gf_below_231(pi) == gf_below_recursive(pi)
 
 
+def _tree_dict(node):
+    # the layout tree_json writes, built by recursion for json.dumps
+    if isinstance(node, Leaf):
+        return {"leaf": node.value}
+    return {"sign": node.sign, "children": [_tree_dict(node.left), _tree_dict(node.right)]}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_json_is_laid_out_as_json_dumps(n):
+    for pi in separable_words(n):
+        for largest in (False, True):
+            root = separating_tree(pi, largest=largest)
+            assert tree_json(root) == json.dumps(_tree_dict(root), indent=2), (pi, largest)
+
+
 def test_tree_json_shape():
-    data = tree_json(separating_tree(Permutation((3, 1, 2))))
+    data = json.loads(tree_json(separating_tree(Permutation((3, 1, 2)))))
     assert data["sign"] == "negative"
     left, right = data["children"]
     assert left == {"leaf": 3}

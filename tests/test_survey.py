@@ -436,11 +436,11 @@ def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
 def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
     # every key of these tables is O(n^2): a pair (n, m), or an order d
     # with phi(d) at most the degree n(n-1)/2
-    from weakbruhat import qpoly, separable
-    from weakbruhat.qpoly import cyclotomic, q_binomial
+    from weakbruhat import qpoly
+    from weakbruhat.qpoly import cyclotomic, packed_binomial
 
     n = 7
-    tables = (q_binomial, cyclotomic, separable._packed_binomial)
+    tables = (cyclotomic, packed_binomial)
     for table in (*tables, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic):
         table.cache_clear()
     widths = set()

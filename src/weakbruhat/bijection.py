@@ -12,9 +12,9 @@ PairTable.entries and the collisions of a failed check.  A table holds
 words of at most MAX_LETTERS letters, and without force at most
 weak_order.WORD_BUDGET pairs.
 invert_phi reconstructs the unique preimage of a target w by one loop
-down pi's separating tree that fills u and v slot by slot.  It verifies
-its answer and raises InternalInversionFailure if the check fails,
-since the construction is easy to get subtly wrong.
+down pi's separating tree, whose leaves are letters, filling u and v
+slot by slot.  It verifies its answer and raises InternalInversionFailure
+if the check fails, since the construction is easy to get subtly wrong.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, word_text
-from .separable import POSITIVE, Leaf, TreeNode, is_separable, separating_tree
+from .separable import POSITIVE, Internal, is_separable, separating_tree, tree_size
 from .weak_order import check_budget, interval
 
 
@@ -134,21 +134,21 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
     return BijectionReport(is_bijection=False, collisions=collisions)
 
 
-def _construct(root: TreeNode, w):
+def _construct(root: Internal | int, w):
     """Words (u, v) with u <= p <= v and phi(u, v) = w, where p is the
     word of root's tree, filled from the root down.  Each block owns
     slots of u and of v, ascending, and a target t: its j-th slot of v
     takes the letter of its t[j]-th slot of u.  Each half's target is t
     on its own letters, standardised to 1..size."""
-    n = root.size
+    n = tree_size(root)
     u, v = [0] * n, [0] * n
     stack = [(root, range(n), range(n), w)]
     while stack:
         node, u_slots, v_slots, t = stack.pop()
-        if isinstance(node, Leaf):
-            u[u_slots[0]] = v[v_slots[0]] = node.value
+        if type(node) is int:
+            u[u_slots[0]] = v[v_slots[0]] = node
             continue
-        m = node.left.size
+        m = tree_size(node.left)
         if node.sign == POSITIVE:
             # the low half takes the first m slots of u, and those of v where t <= m
             low = [a <= m for a in t]

@@ -10,17 +10,15 @@ recursion share one pass, _merge: it reads the word once, left to
 right, merging abutting value blocks on a stack as direct or skew
 sums, and evaluates the recursion on the merges as it goes.
 separating_tree runs the same reduction right to left and keeps each
-merge as a signed node, so every node splits its block at the
-smallest prefix block; the renderers write their text by explicit-stack
-walks.  The classical characterisation, that the separable permutations
-are exactly those avoiding 3142 and 2413, is kept as a cross-check in
-the tests.  Two independent evaluation routes are kept side by side on
-purpose: the block recursion, and a closed formula read off the tree.
-Tests confirm they agree with each other and with brute-force interval
-enumeration.  The recursion computes on packed integers
-(qpoly.pack_width), one int product per merge and qpoly.packed_binomial
-per skew sum, and forms one IntPoly at the end.  interval_sizes runs it
-at q = 1, for the two interval sizes alone.
+merge as an Internal node, which splits its block at the smallest
+prefix block; a leaf is its letter, an int.  Every walk of the tree,
+Internal's equality and hash among them, keeps an explicit stack.
+The tests check separability against avoidance of 3142 and 2413, and
+two evaluation routes, kept on purpose, against each other: the block
+recursion, and a closed formula read off the tree.  The recursion
+computes on packed integers (qpoly.pack_width), one int product per
+merge and qpoly.packed_binomial per skew sum, and forms one IntPoly at
+the end.  interval_sizes runs it at q = 1, for the two interval sizes.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -29,9 +27,7 @@ interval [pi, w0] is its complement dual: read backwards it is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Union
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation, avoids_231
@@ -86,27 +82,32 @@ def _unit(k: int, m: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: int
-
-    @property
-    def size(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
 class Internal:
-    left: "TreeNode"
-    right: "TreeNode"
-    sign: str
-    size: int
+    """A split of a separating tree over size letters; left and right are
+    Internal nodes or letters.  Equality and hashing read tree_text, and
+    repr gives sign and size, so none of them recurses on the tree."""
+
+    __slots__ = ("left", "right", "sign", "size")
+
+    def __init__(self, left: Internal | int, right: Internal | int, sign: str, size: int):
+        self.left, self.right, self.sign, self.size = left, right, sign, size
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Internal and tree_text(self) == tree_text(other)
+
+    def __hash__(self) -> int:
+        return hash(tree_text(self))
+
+    def __repr__(self) -> str:
+        return f"Internal({self.sign}, size={self.size})"
 
 
-TreeNode = Union[Leaf, Internal]
+def tree_size(node: Internal | int) -> int:
+    """The number of letters below node: 1 for a letter."""
+    return 1 if type(node) is int else node.size
 
 
-def separating_tree(pi: Permutation, largest: bool = False) -> TreeNode:
+def separating_tree(pi: Permutation, largest: bool = False) -> Internal | int:
     """Root of the canonical separating tree, which splits each block at
     its smallest prefix block: _merge's stack reduction read right to
     left, with each merge kept as a node.  Read left to right
@@ -119,8 +120,7 @@ def separating_tree(pi: Permutation, largest: bool = False) -> TreeNode:
     """
     stack = []  # (lowest value, highest value, node) of each block
     for a in pi.word if largest else reversed(pi.word):
-        lo = hi = a
-        node = Leaf(a)
+        lo = hi = node = a
         while stack:
             other_lo, other_hi, other = stack[-1]
             if other_hi + 1 == lo:
@@ -140,7 +140,7 @@ def separating_tree(pi: Permutation, largest: bool = False) -> TreeNode:
     return stack[0][2]
 
 
-def _closed_formula(root: TreeNode, sign: str) -> IntPoly:
+def _closed_formula(root: Internal | int, sign: str) -> IntPoly:
     """Ratio of q-factorials over the maximal runs of equal sign in the
     tree: a non-root internal node whose parent has the other sign
     contributes the q-factorial of its leaf count, to the numerator
@@ -150,7 +150,7 @@ def _closed_formula(root: TreeNode, sign: str) -> IntPoly:
     stack = [(root, None)]
     while stack:
         node, parent_sign = stack.pop()
-        if isinstance(node, Leaf):
+        if type(node) is int:
             continue
         stack.append((node.left, node.sign))
         stack.append((node.right, node.sign))
@@ -163,7 +163,7 @@ def _closed_formula(root: TreeNode, sign: str) -> IntPoly:
     return num.exact_div(den)
 
 
-def gf_below_closed(root: TreeNode) -> IntPoly:
+def gf_below_closed(root: Internal | int) -> IntPoly:
     """Closed formula for the rank generating function of the interval
     from the identity up to the tree's permutation: negative runs go in
     the numerator, positive runs in the denominator.
@@ -174,7 +174,7 @@ def gf_below_closed(root: TreeNode) -> IntPoly:
     return _closed_formula(root, NEGATIVE)
 
 
-def gf_above_closed(root: TreeNode) -> IntPoly:
+def gf_above_closed(root: Internal | int) -> IntPoly:
     """Closed formula for the interval from the permutation up to the
     reversal.  This is the complement dual of gf_below_closed:
     complementing the word flips every sign of its tree, so the
@@ -263,22 +263,22 @@ def gf_above_from_complement(pi: Permutation) -> IntPoly:
     return q_factorial(pi.size).exact_div(gf_below_recursive(pi))
 
 
-def tree_text(root: TreeNode) -> str:
+def tree_text(root: Internal | int) -> str:
     """A line per node in preorder, each indented two spaces deeper
     than its parent."""
     lines = []
     stack = [(root, "")]
     while stack:
         node, pad = stack.pop()
-        if isinstance(node, Leaf):
-            lines.append(f"{pad}leaf {node.value}")
+        if type(node) is int:
+            lines.append(f"{pad}leaf {node}")
         else:
             lines.append(f"{pad}{node.sign}")
             stack += [(node.right, pad + "  "), (node.left, pad + "  ")]
     return "\n".join(lines)
 
 
-def tree_json(root: TreeNode) -> str:
+def tree_json(root: Internal | int) -> str:
     """{"leaf": value} or {"sign": ..., "children": [left, right]} as json.dumps(...,
     indent=2) lays it out, by a preorder walk that pushes closing text first."""
     parts = []
@@ -289,15 +289,15 @@ def tree_json(root: TreeNode) -> str:
             parts.append(item)
             continue
         node, pad = item
-        if isinstance(node, Leaf):
-            parts.append(f'{pad}{{\n{pad}  "leaf": {node.value}\n{pad}}}')
+        if type(node) is int:
+            parts.append(f'{pad}{{\n{pad}  "leaf": {node}\n{pad}}}')
         else:
             parts.append(f'{pad}{{\n{pad}  "sign": "{node.sign}",\n{pad}  "children": [\n')
             stack += [f"\n{pad}  ]\n{pad}}}", (node.right, pad + "    "), ",\n", (node.left, pad + "    ")]
     return "".join(parts)
 
 
-def tree_dot(root: TreeNode) -> str:
+def tree_dot(root: Internal | int) -> str:
     """DOT rendering with signed internal nodes and letter leaves,
     numbered in preorder; each edge line follows its child's subtree."""
     lines = ["digraph separating_tree {"]
@@ -309,12 +309,12 @@ def tree_dot(root: TreeNode) -> str:
             lines.append(item)
             continue
         node, i = item
-        if isinstance(node, Leaf):
-            lines.append(f'  n{i} [label="{node.value}" shape=plaintext];')
+        if type(node) is int:
+            lines.append(f'  n{i} [label="{node}" shape=plaintext];')
             continue
         label = "Positive Node" if node.sign == POSITIVE else "Negative Node"
         lines.append(f'  n{i} [label="{label}"];')
-        j = i + 2 * node.left.size  # the left subtree has 2 * size - 1 nodes
+        j = i + 2 * tree_size(node.left)  # the left subtree has 2 * size - 1 nodes
         stack += [f"  n{i} -> n{j};", (node.right, j), f"  n{i} -> n{i + 1};", (node.left, i + 1)]
     lines.append("}")
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from weakbruhat.separable import (
     NEGATIVE,
     POSITIVE,
     Internal,
-    Leaf,
     gf_above_closed,
     gf_above_from_complement,
     gf_above_recursive,
@@ -30,6 +29,7 @@ from weakbruhat.separable import (
     separating_tree,
     tree_dot,
     tree_json,
+    tree_size,
     tree_text,
 )
 from weakbruhat.survey import schroder
@@ -153,10 +153,10 @@ def test_separating_tree_root_split_fixtures():
         ((2, 1, 4, 3), POSITIVE, 2),
     ):
         root = separating_tree(Permutation(word))
-        assert (root.sign, root.left.size) == (sign, left_size), word
+        assert (root.sign, tree_size(root.left)) == (sign, left_size), word
     with pytest.raises(NotSeparable):
         separating_tree(Permutation((2, 4, 1, 3)))
-    assert separating_tree(Permutation((1,))) == Leaf(1)
+    assert separating_tree(Permutation((1,))) == 1
 
 
 def reference_tree(word, lo, hi, largest=False):
@@ -166,7 +166,7 @@ def reference_tree(word, lo, hi, largest=False):
     value range anchored at lo or at hi, and the sign is positive when
     it is anchored at lo.  None when some block has no such prefix."""
     if len(word) == 1:
-        return Leaf(word[0])
+        return word[0]
     sizes = range(len(word) - 1, 0, -1) if largest else range(1, len(word))
     for m in sizes:
         mn, mx = min(word[:m]), max(word[:m])
@@ -208,12 +208,12 @@ def test_separating_tree_of_long_words():
             for size in range(5000, 1, -1):
                 assert (node.sign, node.size) == (sign, size)
                 if largest:
-                    assert node.right == Leaf(pi.word[size - 1])
+                    assert node.right == pi.word[size - 1]
                     node = node.left
                 else:
-                    assert node.left == Leaf(pi.word[5000 - size])
+                    assert node.left == pi.word[5000 - size]
                     node = node.right
-            assert node == Leaf(pi.word[0] if largest else pi.word[-1])
+            assert node == (pi.word[0] if largest else pi.word[-1])
         root = separating_tree(pi)
         assert tree_text(root).count("leaf") == 5000
         assert tree_dot(root).count("->") == 2 * 4999
@@ -230,16 +230,38 @@ def test_separating_tree_structure():
     assert root.right.sign == "negative"
     assert root.right.left.sign == "positive"
     leaves = (root.left, root.right.left.left, root.right.left.right, root.right.right)
-    assert leaves == (Leaf(4), Leaf(2), Leaf(3), Leaf(1))
+    assert leaves == (4, 2, 3, 1)
     with pytest.raises(NotSeparable):
         separating_tree(Permutation((2, 4, 1, 3)))
 
 
 def test_single_letter_tree():
-    root = separating_tree(Permutation((1,)))
-    assert isinstance(root, Leaf)
+    # the one-letter tree is its letter, and every route reads it so
+    pi = Permutation((1,))
+    root = separating_tree(pi)
+    assert type(root) is int and root == 1
+    assert separating_tree(pi, largest=True) == 1
     assert gf_below_closed(root) == ONE
     assert gf_above_closed(root) == ONE
+    # tree_json and invert_phi read it in test_tree_json_is_laid_out_as_json_dumps[1]
+    # and in test_bijection.py's test_invert_phi_round_trip[1]
+    assert tree_text(root) == "leaf 1"
+    assert tree_dot(root) == 'digraph separating_tree {\n  n0 [label="1" shape=plaintext];\n}'
+
+
+def test_tree_equality_hashing_and_repr_do_not_recurse():
+    # 3,000 levels, past the recursion limit: each tree is a comb
+    for pi, largest in ((identity(3000), False), (longest_element(3000), False), (longest_element(3000), True)):
+        a, b = separating_tree(pi, largest=largest), separating_tree(pi, largest=largest)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == f"Internal({a.sign}, size=3000)"
+    # the same letters and signs, split at the smallest or the largest prefix
+    w0 = longest_element(3000)
+    assert separating_tree(w0) != separating_tree(w0, largest=True)
+    assert separating_tree(identity(3000)) != separating_tree(w0)
+    assert separating_tree(Permutation((2, 1))) != separating_tree(Permutation((1, 2)))
+    assert separating_tree(Permutation((2, 1))) != 1
 
 
 def test_closed_formula_fixture_4231():
@@ -355,8 +377,8 @@ def test_gf_below_231_matches_recursion(n):
 
 def _tree_dict(node):
     # the layout tree_json writes, built by recursion for json.dumps
-    if isinstance(node, Leaf):
-        return {"leaf": node.value}
+    if type(node) is int:
+        return {"leaf": node}
     return {"sign": node.sign, "children": [_tree_dict(node.left), _tree_dict(node.right)]}
 
 

@@ -3,7 +3,7 @@ a permutation and the whole symmetric group.
 
 For separable pi the map from {u <= pi} x {v >= pi} is a bijection onto
 S_n.  check_bijection verifies that extensionally from the actual
-intervals.  The intervals are kept as bytes words, one letter per byte.
+intervals, on the bytes words of interval's walk, one letter per byte.
 For each u, t = bytes.maketrans(u, bytes(range(1, n + 1))) sends each
 letter of u to its position, so the image of (u, v) is v.translate(t).
 The check thus builds no Permutation per pair, and its images compare
@@ -20,13 +20,13 @@ if the check fails, since the construction is easy to get subtly wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
 from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, word_text
 from .separable import POSITIVE, Internal, is_separable, separating_tree, tree_size
-from .weak_order import check_budget, interval
+from .weak_order import MAX_LETTERS, check_budget, interval
 
 
 def phi(u: Permutation, v: Permutation) -> Permutation:
@@ -38,13 +38,8 @@ def phi(u: Permutation, v: Permutation) -> Permutation:
     return compose(u.inverse(), v)
 
 
-# a pair table's words are bytes, one letter per byte
-MAX_LETTERS = 255
-
-
 def check_letters(n: int) -> None:
-    """Refuse a pair table over words of more than MAX_LETTERS letters,
-    forced or not."""
+    """Refuse a pair table over words past MAX_LETTERS letters, forced or not."""
     if n > MAX_LETTERS:
         raise ValueError(f"pair tables hold words of at most {MAX_LETTERS} letters, not {n}")
 
@@ -99,13 +94,13 @@ class BijectionReport:
 
 
 def build_pair_table(pi: Permutation, force: bool = False) -> PairTable:
-    """Every (u, v) with u <= pi <= v, with the intervals kept as bytes
-    words.  ValueError past MAX_LETTERS letters, forced or not, before
-    any walk; without force, GuardExceeded past WORD_BUDGET pairs,
-    before any image."""
+    """Every (u, v) with u <= pi <= v, over the intervals' bytes words as
+    the walk built them.  ValueError past MAX_LETTERS letters, forced or
+    not, before any walk; without force, GuardExceeded past WORD_BUDGET
+    pairs, before any image."""
     check_letters(pi.size)
-    below = tuple([bytes(w) for w in interval(identity(pi.size), pi, force=force).elements()])
-    above = tuple([bytes(w) for w in interval(pi, longest_element(pi.size), force=force).elements()])
+    below = tuple(chain.from_iterable(interval(identity(pi.size), pi, force=force).words))
+    above = tuple(chain.from_iterable(interval(pi, longest_element(pi.size), force=force).words))
     check_budget(len(below) * len(above), force, "pairs")
     return PairTable(pi, below, above)
 

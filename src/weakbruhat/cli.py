@@ -91,13 +91,12 @@ def _memory_note(objects: int, exact: bool = False) -> None:
     print(f"guard override active; {count}memory estimate ~{mb} MB", file=sys.stderr)
 
 
-def _check_words(pi: Permutation, force: bool, *sides: str) -> None:
+def _check_words(pi: Permutation, sep: bool, force: bool, *sides: str) -> None:
     # An interval holds as many words as its polynomial's value at q = 1,
     # a pair table the product over both sides.  A separable word's
     # sizes come cheaply from the block recursion, so the budget refuses
     # it before any walk.  A non-separable word is counted from `_gf`
     # only for the --force note, and is otherwise left to the walk.
-    sep = is_separable(pi)
     if sep:
         sizes = dict(zip(("below", "above"), interval_sizes(pi)))
         words = prod(sizes[side] for side in sides)
@@ -187,7 +186,7 @@ def _cmd_interval(args) -> int:
                 ("rank gf", str(gf)),
             ])
     else:
-        _check_words(pi, args.force, args.side)
+        _check_words(pi, is_separable(pi), args.force, args.side)
         iv = interval(bottom, top, force=args.force)
         text = hasse_dot(iv) if args.dot else json.dumps(interval_json(iv), indent=2)
     _output(args, text + "\n")
@@ -238,10 +237,9 @@ def _cmd_bijection(args) -> int:
         data = {"word": str(pi), "target": str(w), "u": str(u), "v": str(v)}
         _output(args, _render(args, data, [("u", str(u)), ("v", str(v))]))
         return 0
-    # before _check_words, which may count a non-separable word's
-    # intervals through le_gf
-    check_letters(pi.size)
-    _check_words(pi, args.force, "below", "above")
+    check_letters(pi.size)  # before _check_words, which may count a word by le_gf
+    sep = is_separable(pi)
+    _check_words(pi, sep, args.force, "below", "above")
     if args.table:
         table = build_pair_table(pi, force=args.force)
         _output(args, table.to_csv())
@@ -249,7 +247,7 @@ def _cmd_bijection(args) -> int:
     report = check_bijection(pi, force=args.force)
     data = {
         "word": str(pi),
-        "separable": is_separable(pi),
+        "separable": sep,
         "is_bijection": report.is_bijection,
         "collisions": [
             {"image": str(w), "pairs": [[str(u), str(v)] for u, v in pairs]}

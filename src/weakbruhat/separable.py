@@ -84,8 +84,8 @@ def _unit(k: int, m: int) -> int:
 
 class Internal:
     """A split of a separating tree over size letters; left and right are
-    Internal nodes or letters.  Equality and hashing read tree_text, and
-    repr gives sign and size, so none of them recurses on the tree."""
+    Internal nodes or letters.  Equality and hashing read _preorder, in
+    linear time, and repr gives sign and size: none of them recurses."""
 
     __slots__ = ("left", "right", "sign", "size")
 
@@ -93,13 +93,24 @@ class Internal:
         self.left, self.right, self.sign, self.size = left, right, sign, size
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is Internal and tree_text(self) == tree_text(other)
+        return type(other) is Internal and _preorder(self) == _preorder(other)
 
     def __hash__(self) -> int:
-        return hash(tree_text(self))
+        return hash(_preorder(self))
 
     def __repr__(self) -> str:
         return f"Internal({self.sign}, size={self.size})"
+
+
+def _preorder(root: Internal | int) -> tuple:
+    """Signs of splits and letters of leaves, in preorder: they fix the tree."""
+    tokens, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        tokens.append(node if type(node) is int else node.sign)
+        if type(node) is Internal:
+            stack += (node.right, node.left)
+    return tuple(tokens)
 
 
 def tree_size(node: Internal | int) -> int:

@@ -6,10 +6,10 @@ In the right weak order u <= v exactly when the inversion set of u
 An upper cover w s_i swaps an ascent a < b of w and adds the one
 inversion (a, b), so a cover of some w <= top stays below top exactly
 when top places b before a: one lookup in top's letter-position table.
-The walks run on word tuples with that test, and the elements of
-intervals and chains stay word tuples; wrap one as Permutation(w) where
-an object is wanted.  WORD_BUDGET caps the words an interval or a pair
-table may hold without force, whatever n is; check_budget applies it.
+interval walks with that test, each element once, on bytes words up to
+MAX_LETTERS letters.  Interval.ranks, its elements and the chains are
+word tuples: wrap one as Permutation(w) for an object.  WORD_BUDGET caps
+the words an interval or pair table may hold without force, at any n.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .perm import Permutation, leq_weak, positions, word_text
 from .qpoly import IntPoly
 
 WORD_BUDGET = factorial(9)
+MAX_LETTERS = 255  # the longest words that interval walks as bytes
 
 
 def check_budget(words: int, force: bool, unit: str = "words") -> None:
@@ -37,56 +38,71 @@ def check_budget(words: int, force: bool, unit: str = "words") -> None:
 
 @dataclass(frozen=True)
 class Interval:
-    """A weak order interval, elements grouped by rank offset from the
-    bottom.  ranks[k] holds the words of the elements of length
-    length(bottom) + k, sorted."""
+    """A weak order interval: words[k] holds the words of length
+    length(bottom) + k, sorted, as the walk built them (bytes up to
+    MAX_LETTERS letters); ranks and elements() give them as tuples."""
 
     bottom: Permutation
     top: Permutation
-    ranks: tuple[tuple[tuple[int, ...], ...], ...]
+    words: tuple[tuple[bytes | tuple[int, ...], ...], ...]
+
+    @property
+    def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(map(tuple, rank)) for rank in self.words)
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.ranks)
+        return sum(map(len, self.words))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        for rank in self.ranks:
-            yield from rank
+        return (tuple(w) for rank in self.words for w in rank)
 
 
 def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Interval:
-    """The words of all w with bottom <= w <= top, by upward BFS over
-    covers that stay below top.  Ranks are graded, so each rank only
-    needs to deduplicate itself.  Without force, raises GuardExceeded
-    as soon as more than WORD_BUDGET words are found."""
+    """The words of all w with bottom <= w <= top, rank by rank, each
+    built once by reverse search (Avis and Fukuda 1996): only from its
+    lower cover at its rightmost descent that stays >= bottom.  So a
+    cover x s_i is kept unless it has such a descent at i + 1, and its
+    own covers are sought from i - 1 on.  A bytes swap is one translate.
+    Without force, raises GuardExceeded past WORD_BUDGET words."""
     if bottom.size != top.size:
         raise ValueError(f"size mismatch: {bottom.size} vs {top.size}")
     if not leq_weak(bottom, top):
         raise IncomparableEndpoints(f"{bottom} is not below {top} in the weak order")
-    pos = positions(top.word)
-    ranks = []
-    frontier = {bottom.word}
-    total = 0
-    while frontier:
-        words = sorted(frontier)
-        ranks.append(tuple(words))
-        total += len(words)
-        frontier = set()
-        for w in words:
+    n, up, down = top.size, positions(top.word), positions(bottom.word)
+    rank, starts, ranks, total, swaps = [bottom.word], [0], [], 0, None
+    if n <= MAX_LETTERS:
+        # swaps[a][b] swaps letters a < b, made by _swap at its first use
+        rank, swaps = [bytes(bottom.word)], [[b""] * (n + 1) for _ in range(n + 1)]
+    while rank:
+        ranks.append(tuple(sorted(rank)))
+        total += len(rank)
+        covers, cover_starts = [], []
+        for w, start in zip(rank, starts):
             # checked before each word's covers, so a refused walk holds
             # at most n - 1 words past the budget
-            if total + len(frontier) > WORD_BUDGET:
-                check_budget(total + len(frontier), force)
-            for i in range(len(w) - 1):
+            if total + len(covers) > WORD_BUDGET:
+                check_budget(total + len(covers), force)
+            for i in range(start, n - 1):
                 a, b = w[i], w[i + 1]
-                if a < b and pos[b] < pos[a]:
-                    frontier.add(w[:i] + (b, a) + w[i + 2 :])
+                if a < b and up[b] < up[a]:
+                    # kept only if i is the cover's rightmost such descent
+                    if i < n - 2 and a > (c := w[i + 2]) and down[c] < down[a]:
+                        continue
+                    covers.append(w.translate(swaps[a][b] or _swap(swaps, a, b)) if swaps else w[:i] + (b, a) + w[i + 2 :])
+                    cover_starts.append(i - 1 if i else 0)
+        rank, starts = covers, cover_starts
     return Interval(bottom, top, tuple(ranks))
+
+
+def _swap(swaps: list[list[bytes]], a: int, b: int) -> bytes:
+    swaps[a][b] = bytes.maketrans(bytes((a, b)), bytes((b, a)))
+    return swaps[a][b]
 
 
 def rank_gf(iv: Interval) -> IntPoly:
     """Rank generating function: coefficient k counts rank k."""
-    return IntPoly(len(r) for r in iv.ranks)
+    return IntPoly(map(len, iv.words))
 
 
 def all_saturated_chains(
@@ -153,7 +169,7 @@ def interval_json(iv: Interval) -> dict:
 def hasse_dot(iv: Interval) -> str:
     """DOT rendering of the interval's Hasse diagram, one rank per row.
     Every element is below top, so its up-edges are the covers that
-    stay below top, found by the same test as the BFS."""
+    stay below top, found by the same test as the walk."""
     pos = positions(iv.top.word)
     lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for rank in iv.ranks:

@@ -265,6 +265,21 @@ def test_force_note_counts_the_words_enumerated(capsys):
         assert noted("bijection", word) == noted("bijection", word, "--table") == len(table.images())
 
 
+def test_bijection_tests_separability_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(pi):
+        calls.append(pi)
+        return separable_test(pi)
+
+    separable_test = cli.is_separable
+    monkeypatch.setattr(cli, "is_separable", counted)
+    for word, sep in (("4132", True), ("2413", False)):
+        calls.clear()
+        code, data, _ = run_json(capsys, "bijection", word)
+        assert code == 0 and data["separable"] is sep and len(calls) == 1
+
+
 def test_bijection_past_the_letter_limit_exits_1_before_any_walk(capsys, monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("counted or walked an interval")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakbruhat import separable
 from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
@@ -262,6 +263,23 @@ def test_tree_equality_hashing_and_repr_do_not_recurse():
     assert separating_tree(identity(3000)) != separating_tree(w0)
     assert separating_tree(Permutation((2, 1))) != separating_tree(Permutation((1, 2)))
     assert separating_tree(Permutation((2, 1))) != 1
+
+
+def test_tree_equality_and_hashing_read_tokens_not_text(monkeypatch):
+    # the 3,000-level identity tree's text is 18 M characters; equality
+    # and hashing must not build it
+    def refuse(root):
+        raise AssertionError("tree_text called")
+
+    monkeypatch.setattr(separable, "tree_text", refuse)
+    a, b = separating_tree(identity(3000)), separating_tree(identity(3000))
+    assert a == b and hash(a) == hash(b)
+    # flip one sign halfway down the comb: same letters and shape
+    node = b
+    for _ in range(1500):
+        node = node.left if type(node.left) is Internal else node.right
+    node.sign = NEGATIVE if node.sign == POSITIVE else POSITIVE
+    assert a != b and b != a
 
 
 def test_closed_formula_fixture_4231():

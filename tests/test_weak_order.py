@@ -163,7 +163,7 @@ def _check_against_filter(u, v, perms, inv):
     assert [list(r) for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_interval_matches_inversion_filter_exhaustive(n):
     perms = list(all_permutations(n))
     inv = {p.word: _inversions(p.word) for p in perms}
@@ -188,6 +188,31 @@ def test_interval_matches_inversion_filter_sampled(n):
         v = rng.choice(perms)
         u = rng.choice([w for w in perms if inv[w.word] <= inv[v.word]])
         _check_against_filter(u, v, perms, inv)
+
+
+def test_walk_builds_each_element_once_sampled_n7():
+    rng = random.Random(7)
+    perms = list(all_permutations(7))
+    inv = {p.word: _inversions(p.word) for p in perms}
+    for _ in range(30):
+        v = rng.choice(perms)
+        u = rng.choice([w for w in perms if inv[w.word] <= inv[v.word]])
+        iv = interval(u, v)
+        words = list(iv.elements())
+        assert len(set(words)) == len(words) == iv.size == sum(len(r) for r in iv.ranks)
+        assert [list(r) for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
+
+
+@pytest.mark.parametrize("n", [255, 300])
+def test_walk_on_either_side_of_the_byte_limit(n):
+    # bytes words up to 255 letters, tuples past it; ranks read the same
+    top = Permutation((2, 1, *range(3, n - 1), n, n - 1))
+    iv = interval(identity(n), top)
+    assert type(iv.words[0][0]) is (bytes if n <= weak_order.MAX_LETTERS else tuple)
+    e = identity(n).word
+    s_1, s_last = top.word[:2] + e[2:], e[:-2] + top.word[-2:]
+    assert iv.ranks == ((e,), (s_last, s_1), (top.word,))
+    assert rank_gf(iv).coeffs == (1, 2, 1)
 
 
 def test_saturated_chains_stay_in_the_interval():

@@ -31,6 +31,7 @@ from .separable import (
     gf_below_recursive,
     interval_sizes,
     is_separable,
+    qint_exponents,
     separating_tree,
     tree_dot,
     tree_json,
@@ -134,7 +135,12 @@ def _cmd_analyze(args) -> int:
     _gf_note(pi, sep, args.force)
     below = _gf(pi, "below", sep, args.force)
     above = _gf(pi, "above", sep, args.force)
-    product = below * above == q_factorial(pi.size)
+    if sep:  # both checks from the q-integer exponents (see qint_exponents)
+        g, g_c = qint_exponents(pi), qint_exponents(pi.complement())
+        product = all(a + b == 1 for a, b in zip(g, g_c))
+        cyclotomic = all(sum(g[d - 2 :: d]) >= 0 for d in range(2, pi.size + 1))
+    else:
+        product, cyclotomic = below * above == q_factorial(pi.size), is_cyclotomic_product(below)
     data = {
         "word": str(pi),
         "length": pi.length,
@@ -145,7 +151,7 @@ def _cmd_analyze(args) -> int:
         "product_is_qfactorial": product,
         "rank_symmetric": below.is_symmetric(),
         "unimodal": below.is_unimodal(),
-        "cyclotomic_product": is_cyclotomic_product(below),
+        "cyclotomic_product": cyclotomic,
     }
     _emit(args, data)
     return 0
@@ -340,7 +346,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # le_gf under --force and analyze's q_factorial recurse per letter
+        # le_gf under --force recurses per letter
         limit = sys.getrecursionlimit()
         print(f"error: {args.command}: a step recursing once per letter passed the recursion limit ({limit})", file=sys.stderr)
         return 1

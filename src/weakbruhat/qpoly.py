@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable
 
 from .errors import NonzeroRemainder
@@ -269,9 +269,10 @@ def q_factorial(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    if n == 0:
-        return ONE
-    return q_factorial(n - 1) * q_int(n)
+    # [i] at q = 2^width, multiplied in a loop; [n]! counts n! words, so no slot spills
+    width = pack_width(n)
+    value = prod(((1 << width * i) - 1) // ((1 << width) - 1) for i in range(2, n + 1))
+    return IntPoly.from_packed(value, width)
 
 
 @lru_cache(maxsize=None)

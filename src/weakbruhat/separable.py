@@ -19,6 +19,8 @@ recursion, and a closed formula read off the tree.  The recursion
 computes on packed integers (qpoly.pack_width), one int product per
 merge and qpoly.packed_binomial per skew sum, and forms one IntPoly at
 the end.  interval_sizes runs it at q = 1, for the two interval sizes.
+qint_exponents counts its skew sums' q-factorials: gf_below = prod [i]^(g_i),
+and analyze tests the main theorem and cyclotomy on the vector g in O(n).
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -27,6 +29,8 @@ interval [pi, w0] is its complement dual: read backwards it is
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
 from math import comb
 
 from .errors import Not231Avoiding, NotSeparable
@@ -242,6 +246,23 @@ def interval_sizes(pi: Permutation) -> tuple[int, int]:
     (8, 3)
     """
     return _evaluate(pi, pi.word, comb), _evaluate(pi, pi.complement().word, comb)
+
+
+def qint_exponents(pi: Permutation) -> list[int]:
+    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), counted from the skew
+    sums [k, m] = [k]! / ([m]! [k-m]!) of one _merge pass.  The g_i are unique, as
+    [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d; the exponent
+    of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a polynomial.
+    [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and below * above
+    = [n]! exactly when g(pi) + g(pi^c) = 1 at every i.  Raises NotSeparable.
+
+    >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
+    [1, 0, 1]
+    """
+    up, down = [], []  # the [k]! and the [m]! [k-m]! of each skew sum
+    _evaluate(pi, pi.word, lambda k, m: up.append(k) or down.extend((m, k - m)) or 1)
+    up, down = Counter(up), Counter(down)
+    return list(accumulate(up[i] - down[i] for i in range(pi.size, 1, -1)))[::-1]  # g_n..g_2, reversed
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

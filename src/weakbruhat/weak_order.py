@@ -72,8 +72,8 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
     n, up, down = top.size, positions(top.word), positions(bottom.word)
     rank, starts, ranks, total, swaps = [bottom.word], [0], [], 0, None
     if n <= MAX_LETTERS:
-        # swaps[a][b] swaps letters a < b, made by _swap at its first use
-        rank, swaps = [bytes(bottom.word)], [[b""] * (n + 1) for _ in range(n + 1)]
+        # swaps[a][b] swaps letters a < b, made by _swap at first use; rows share swaps[0] till then
+        rank, swaps = [bytes(bottom.word)], [[b""] * (n + 1)] * (n + 1)
     while rank:
         ranks.append(tuple(sorted(rank)))
         total += len(rank)
@@ -96,6 +96,8 @@ def interval(bottom: Permutation, top: Permutation, force: bool = False) -> Inte
 
 
 def _swap(swaps: list[list[bytes]], a: int, b: int) -> bytes:
+    if swaps[a] is swaps[0]:  # the shared row: no letter is 0, so it stays empty
+        swaps[a] = swaps[0][:]
     swaps[a][b] = bytes.maketrans(bytes((a, b)), bytes((b, a)))
     return swaps[a][b]
 

@@ -11,6 +11,8 @@ from weakbruhat import bijection, cli, weak_order
 from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
 from weakbruhat.perm import all_permutations, identity, longest_element, parse_permutation
+from weakbruhat.poset import inversion_poset, le_gf
+from weakbruhat.qpoly import is_cyclotomic_product, q_factorial
 from weakbruhat.weak_order import interval, rank_gf
 
 
@@ -56,6 +58,40 @@ def test_analyze_non_separable(capsys):
     assert data["separable"] is False
     assert data["gf_below"] == "1 + 2*q + q^2 + q^3"
     assert data["product_is_qfactorial"] is False
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_analyze_checks_match_the_polynomial_route(capsys, n):
+    # separable words answer from q-integer exponents; both booleans are
+    # recomputed here from linear extensions of the inversion poset
+    for pi in all_permutations(n):
+        code, data, _ = run_json(capsys, "analyze", str(pi))
+        below = le_gf(inversion_poset(pi))
+        above = le_gf(inversion_poset(pi.complement())).reverse()
+        assert code == 0
+        assert data["product_is_qfactorial"] == (below * above == q_factorial(n)), pi
+        assert data["cyclotomic_product"] == is_cyclotomic_product(below), pi
+
+
+def test_separable_analyze_needs_no_polynomial_checks(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the polynomial route ran")
+
+    monkeypatch.setattr(cli, "is_cyclotomic_product", refuse)
+    monkeypatch.setattr(cli, "q_factorial", refuse)
+    code, data, _ = run_json(capsys, "analyze", "4132")
+    assert code == 0 and data["product_is_qfactorial"] and data["cyclotomic_product"]
+
+
+def test_non_separable_analyze_keeps_the_polynomial_checks(capsys, monkeypatch):
+    calls = []
+    for name in ("is_cyclotomic_product", "q_factorial"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    code, data, _ = run_json(capsys, "analyze", "2413")
+    assert code == 0 and data["separable"] is False
+    assert data["product_is_qfactorial"] is False
+    assert sorted(calls) == ["is_cyclotomic_product", "q_factorial"]
 
 
 def test_analyze_s4_rank_histogram(capsys):

@@ -3,6 +3,8 @@ independent oracles: inversion histograms computed by hand, the
 defining product of cyclotomic polynomials, and Pascal-style
 recurrences."""
 
+import inspect
+import sys
 from itertools import permutations, zip_longest
 from math import comb
 
@@ -40,6 +42,22 @@ def brute_inversion_histogram(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_q_factorial_counts_inversions(n):
     assert q_factorial(n).coeffs == brute_inversion_histogram(n)
+
+
+def test_q_factorial_is_a_loop_past_the_recursion_limit():
+    # a cold cache and 30 frames of headroom: recursing once per letter
+    # would pass the limit before n = 50
+    plain = ONE
+    for i in range(1, 51):
+        plain = plain * q_int(i)
+    q_factorial.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        got = q_factorial(50)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == plain
 
 
 def test_q_factorial_frozen_s4():

@@ -4,7 +4,8 @@ to hand-checked fixtures and to brute-force enumeration."""
 
 import gc
 import json
-from math import factorial
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from weakbruhat import separable
 from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
-from weakbruhat.qpoly import ONE, IntPoly, q_factorial
+from weakbruhat.qpoly import ONE, IntPoly, is_cyclotomic_product, q_factorial, q_int
 from weakbruhat.separable import (
     NEGATIVE,
     POSITIVE,
@@ -27,6 +28,7 @@ from weakbruhat.separable import (
     gf_below_recursive,
     interval_sizes,
     is_separable,
+    qint_exponents,
     separating_tree,
     tree_dot,
     tree_json,
@@ -145,6 +147,44 @@ def test_product_is_q_factorial_exactly_for_separable_words(n):
         assert product_is_full == is_separable(pi), pi
         factors += product_is_full
     assert factors == schroder(n - 1)
+
+
+def _qint_product(g):
+    # prod [i]^(g_i) over i = 2..n, expanded with q_int and exact_div
+    num = den = ONE
+    for i, e in enumerate(g, 2):
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * q_int(i)
+            else:
+                den = den * q_int(i)
+    return num.exact_div(den)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_qint_exponents_factor_the_block_recursion(n):
+    for pi in separable_words(n):
+        g, g_c = qint_exponents(pi), qint_exponents(pi.complement())
+        below = gf_below_recursive(pi)
+        assert len(g) == len(g_c) == n - 1
+        assert _qint_product(g) == below, pi
+        # the main theorem, below * above = [n]!, as a vector identity
+        assert all(a + b == 1 for a, b in zip(g, g_c)), pi
+        # e_d, the exponent of Phi_d, sums g_i over the multiples i of d
+        assert all(sum(g[d - 2 :: d]) >= 0 for d in range(2, n + 1)), pi
+        assert is_cyclotomic_product(below), pi
+        assert prod(Fraction(i) ** e for i, e in enumerate(g, 2)) == interval_sizes(pi)[0], pi
+
+
+def test_qint_exponents_fixtures_and_rejection():
+    assert qint_exponents(Permutation((1,))) == []
+    assert qint_exponents(identity(6)) == [0] * 5
+    assert qint_exponents(longest_element(6)) == [1] * 5
+    # 4132: [2] [4] below and [3] above, so the two multiply to [4]!
+    assert qint_exponents(Permutation((4, 1, 3, 2))) == [1, 0, 1]
+    assert qint_exponents(Permutation((4, 1, 3, 2)).complement()) == [0, 1, 0]
+    with pytest.raises(NotSeparable, match="2413 is not separable"):
+        qint_exponents(Permutation((2, 4, 1, 3)))
 
 
 def test_separating_tree_root_split_fixtures():

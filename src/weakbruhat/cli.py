@@ -111,8 +111,8 @@ def _check_words(pi: Permutation, sep: bool, force: bool, *sides: str) -> None:
 
 
 def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
-    # neither route enumerates S_n: the block recursion keeps a polynomial
-    # per block, le_gf an entry per order filter (at most 2^n)
+    # neither route enumerates S_n: the block recursion keeps a pair per
+    # block and n exponents, le_gf an entry per order filter (at most 2^n)
     if force:
         _memory_note(pi.size if sep else 2**pi.size)
 

@@ -10,8 +10,8 @@ the divisibility test used elsewhere in the package.
 Products go through packed integers (Kronecker substitution): at
 q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
-slots.  le_gf and the block recursion, with its Gaussian binomials
-(packed_binomial), compute on such ints throughout.
+slots.  le_gf, and qint_product's prod [i]^(e_i) (the block recursion,
+q_factorial, q_binomial), compute on such ints throughout.
 
 The cyclotomic-product test packs each polynomial once, at its own
 slot width: whole bytes with 16 bits of room above the largest
@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import NonzeroRemainder
 
@@ -235,6 +235,7 @@ class IntPoly:
 ONE = IntPoly((1,))
 
 
+@lru_cache(maxsize=None)
 def pack_width(n: int) -> int:
     """Slot width for generating functions of posets on n elements and
     intervals of S_n: a coefficient counts at most n! extensions or
@@ -259,6 +260,45 @@ def q_int(i: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
+def _packed_qint(i: int, width: int) -> int:
+    """[i] at q = 2^width: a 1 in each of its i slots."""
+    return ((1 << width * i) - 1) // ((1 << width) - 1)
+
+
+def _pairwise_prod(values: list[int]) -> int:
+    while len(values) > 8:  # adjacent factors multiply in pairs, level by level
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    return prod(values)
+
+
+def qint_product(exponents: Mapping[int, int]) -> IntPoly:
+    """prod [i]^(e_i) over the items of exponents, i >= 1, a polynomial with
+    nonnegative coefficients as a generating function is: packed powers of [i]
+    multiplied (pairwise past 8), divided once by the negative ones, unpacked.
+    A coefficient of a partial product or of the result is at most prod i^e_i
+    over e_i > 0, the numerator at q = 1, so slots one bit wider, and at least
+    pack_width of the largest i, never spill; a remainder raises NonzeroRemainder.
+
+    >>> print(qint_product({2: -1, 4: 1}))  # [4] / [2]
+    1 + q^2
+    """
+    top, width = 1, 0
+    while top.bit_length() >= width:  # until the slots hold the numerator at q = 1
+        width = max(pack_width(max(exponents, default=0)), top.bit_length() + 1)
+        top, up, down = 1, [], []
+        for i, e in exponents.items():
+            if e > 0:
+                top *= i**e
+                up.append(_packed_qint(i, width) ** e)
+            elif e < 0:
+                down.append(_packed_qint(i, width) ** -e)
+    value, rem = divmod(_pairwise_prod(up), _pairwise_prod(down))
+    if rem:
+        raise NonzeroRemainder("remainder is not zero")
+    return IntPoly.from_packed(value, width)
+
+
+@lru_cache(maxsize=None)
 def q_factorial(n: int) -> IntPoly:
     """[n]! = [1][2]...[n], the generating function of S_n by inversions.
 
@@ -269,27 +309,12 @@ def q_factorial(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    # [i] at q = 2^width, multiplied in a loop; [n]! counts n! words, so no slot spills
-    width = pack_width(n)
-    value = prod(((1 << width * i) - 1) // ((1 << width) - 1) for i in range(2, n + 1))
-    return IntPoly.from_packed(value, width)
-
-
-@lru_cache(maxsize=None)
-def packed_binomial(n: int, m: int, width: int) -> int:
-    """[n, m] at q = 2^width: the product of (1 - q^(n-i+1)) / (1 - q^i), i = 1..min(m, n-m).
-    Each partial product is the polynomial [n, i], so each division is exact."""
-    if not 0 <= m <= n:
-        raise ValueError(f"q_binomial requires 0 <= m <= n, got n={n} m={m}")
-    value = 1
-    for i in range(1, min(m, n - m) + 1):
-        value = value * ((1 << width * (n - i + 1)) - 1) // ((1 << width * i) - 1)
-    return value
+    return qint_product(dict.fromkeys(range(2, n + 1), 1))
 
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, m: int) -> IntPoly:
-    """Gaussian binomial [n]!/([m]![n-m]!): packed_binomial at pack_width(n), unpacked.
+    """Gaussian binomial [n]!/([m]![n-m]!): [i] to the power 1 - [i <= m] - [i <= n-m].
 
     >>> print(q_binomial(3, 1))
     1 + q + q^2
@@ -298,8 +323,9 @@ def q_binomial(n: int, m: int) -> IntPoly:
         ...
     ValueError: q_binomial requires 0 <= m <= n, got n=2 m=3
     """
-    width = pack_width(n)
-    return IntPoly.from_packed(packed_binomial(n, m, width), width)
+    if not 0 <= m <= n:
+        raise ValueError(f"q_binomial requires 0 <= m <= n, got n={n} m={m}")
+    return qint_product({i: 1 - (i <= m) - (i <= n - m) for i in range(2, n + 1)})
 
 
 @lru_cache(maxsize=None)

@@ -5,22 +5,16 @@ A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
 values of its block.  Such a split is positive (the prefix holds the
 low values: a direct sum) or negative (the high values: a skew sum).
-Nothing here recurses on the word.  Recognition and the block
-recursion share one pass, _merge: it reads the word once, left to
-right, merging abutting value blocks on a stack as direct or skew
-sums, and evaluates the recursion on the merges as it goes.
-separating_tree runs the same reduction right to left and keeps each
-merge as an Internal node, which splits its block at the smallest
-prefix block; a leaf is its letter, an int.  Every walk of the tree,
-Internal's equality and hash among them, keeps an explicit stack.
-The tests check separability against avoidance of 3142 and 2413, and
-two evaluation routes, kept on purpose, against each other: the block
-recursion, and a closed formula read off the tree.  The recursion
-computes on packed integers (qpoly.pack_width), one int product per
-merge and qpoly.packed_binomial per skew sum, and forms one IntPoly at
-the end.  interval_sizes runs it at q = 1, for the two interval sizes.
-qint_exponents counts its skew sums' q-factorials: gf_below = prod [i]^(g_i),
-and analyze tests the main theorem and cyclotomy on the vector g in O(n).
+Nothing here recurses on the word.  One pass, _merge, reads the word left
+to right and merges abutting value blocks on a stack as direct or skew
+sums.  Its skew sums give the block recursion as gf_below = prod [i]^(g_i)
+(qint_exponents), which qpoly.qint_product expands, interval_sizes takes
+at q = 1, and analyze tests for the main theorem and cyclotomy.
+separating_tree runs the same reduction right to left, keeping each merge
+as an Internal node, split at the smallest prefix block, and each letter
+as an int leaf; every walk of it keeps an explicit stack.  The tests check
+the recursion against a closed formula read off the tree, and separability
+against avoidance of 3142 and 2413.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -29,61 +23,53 @@ interval [pi, w0] is its complement dual: read backwards it is
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
-from math import comb
+from math import prod
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation, avoids_231
-from .qpoly import ONE, IntPoly, pack_width, packed_binomial, q_factorial, q_int
+from .qpoly import ONE, IntPoly, q_factorial, q_int, qint_product
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-def _merge(word, binomial):
-    """One pass over word, left to right (the stack reduction of Bose,
-    Buss and Lubiw, "Pattern matching for permutations", 1998), that
-    evaluates the block recursion at one point q on the way.  Each
-    letter comes in as a block of one value; while the top two blocks
-    hold abutting value ranges they merge, and their values multiply.
-    A skew sum, whose left block holds the m high values of k, also
-    multiplies by binomial(k, m), the Gaussian binomial [k, m] at q.
-    Returns the last block's value, or None if more blocks are left:
-    a letter from each then spells a pattern with no two adjacent
-    letters of consecutive values, which no separable word has."""
-    stack = []  # (lowest value, highest value, value at q) of each block
+def _merge(word):
+    """One left-to-right pass over word, the stack reduction of Bose, Buss and
+    Lubiw ("Pattern matching for permutations", 1998): each letter comes in as
+    a block, and the top two blocks merge while their value ranges abut.  A
+    skew sum of a left block of m values over a right one of r multiplies the
+    recursion by [m + r]! / ([m]! [r]!); deltas[i] sums the powers of [i]!.
+    Returns deltas, or None if more blocks are left: a letter from each spells
+    a pattern with no two adjacent letters of consecutive values."""
+    deltas = [0] * (len(word) + 1)
+    stack = []  # (lowest value, highest value) of each block
     for a in word:
         lo = hi = a
-        value = 1
         while stack:
-            left_lo, left_hi, left_value = stack[-1]
+            left_lo, left_hi = stack[-1]
             if left_hi + 1 == lo:
                 lo = left_lo
             elif hi + 1 == left_lo:
-                value *= binomial(left_hi - lo + 1, left_hi - left_lo + 1)
+                deltas[left_hi - lo + 1] += 1
+                deltas[left_hi - left_lo + 1] -= 1
+                deltas[hi - lo + 1] -= 1
                 hi = left_hi
             else:
                 break
-            value *= left_value
             stack.pop()
-        stack.append((lo, hi, value))
-    return stack[0][2] if len(stack) == 1 else None
+        stack.append((lo, hi))
+    return deltas if len(stack) == 1 else None
 
 
 def is_separable(pi: Permutation) -> bool:
-    """True when pi merges into one block: _merge with every binomial 1.
+    """True when pi merges into one block.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
     >>> is_separable(Permutation((2, 4, 1, 3)))
     False
     """
-    return _merge(pi.word, _unit) is not None
-
-
-def _unit(k: int, m: int) -> int:
-    return 1
+    return _merge(pi.word) is not None
 
 
 class Internal:
@@ -201,68 +187,55 @@ def gf_above_closed(root: Internal | int) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-def _evaluate(pi: Permutation, word, binomial) -> int:
-    # _merge on word, pi's or its complement's, naming pi when it fails
-    value = _merge(word, binomial)
-    if value is None:
-        raise NotSeparable(f"{pi} is not separable")
-    return value
-
-
-def _recursion(pi: Permutation, word) -> IntPoly:
-    # evaluated at q = 2^width, where the polynomial is its packed int:
-    # each partial product is coefficientwise at most its block's
-    # polynomial, which counts at most n! elements, so pack_width's
-    # slots never spill
-    width = pack_width(len(word))
-    packed = _evaluate(pi, word, lambda k, m: packed_binomial(k, m, width))
-    return IntPoly.from_packed(packed, width)
+def _exponents(pi: Permutation, word) -> dict[int, int]:
+    # {i: g_i}, i = n down to 2, of word (pi's or pi^c's): [i] divides [j]! for j >= i
+    deltas = _merge(word)
+    if deltas is None:
+        raise NotSeparable(f"{pi} is not separable")  # naming pi, not word
+    g, total = {}, 0
+    for i in range(len(deltas) - 1, 1, -1):
+        g[i] = total = total + deltas[i]
+    return g
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:
-    """Rank generating function of the lower interval by the block
-    recursion, evaluated on _merge's pass: a direct sum multiplies its
-    blocks' generating functions, and a skew sum adds a Gaussian
-    binomial factor for interleaving them.  Raises NotSeparable when
-    more than one block is left.
-    """
-    return _recursion(pi, pi.word)
+    """Rank generating function of the lower interval by the block recursion,
+    a product of Gaussian binomials that _merge reads as prod [i]^(g_i), and
+    qint_product expands.  Raises NotSeparable if more blocks are left."""
+    return qint_product(_exponents(pi, pi.word))
 
 
 def gf_above_recursive(pi: Permutation) -> IntPoly:
-    """Rank generating function of the upper interval, by complement
-    duality: [pi, w0] read backwards is [id, pi^c], so this is the
-    lower recursion on the complement, reversed.  NotSeparable names
-    pi itself."""
-    return _recursion(pi, pi.complement().word).reverse()
+    """Rank generating function of the upper interval by complement duality:
+    [pi, w0] read backwards is [id, pi^c], whose product of palindromic [i]
+    is its own reverse.  NotSeparable names pi itself."""
+    return qint_product(_exponents(pi, pi.complement().word))
 
 
 def interval_sizes(pi: Permutation) -> tuple[int, int]:
-    """|[id, pi]| and |[pi, w0]|: the two recursions above at q = 1,
-    where each Gaussian binomial is a binomial, so no polynomial is
-    formed.  Raises NotSeparable for a non-separable pi.
+    """|[id, pi]| and |[pi, w0]|: the two recursions above at q = 1, where
+    [i] = i, in exact integers.  Raises NotSeparable for a non-separable pi.
 
     >>> interval_sizes(Permutation((4, 1, 3, 2)))
     (8, 3)
     """
-    return _evaluate(pi, pi.word, comb), _evaluate(pi, pi.complement().word, comb)
+    return tuple(
+        prod(i**e for i, e in g.items() if e > 0) // prod(i**-e for i, e in g.items() if e < 0)
+        for g in (_exponents(pi, pi.word), _exponents(pi, pi.complement().word))
+    )
 
 
 def qint_exponents(pi: Permutation) -> list[int]:
-    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), counted from the skew
-    sums [k, m] = [k]! / ([m]! [k-m]!) of one _merge pass.  The g_i are unique, as
-    [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d; the exponent
-    of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a polynomial.
-    [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and below * above
-    = [n]! exactly when g(pi) + g(pi^c) = 1 at every i.  Raises NotSeparable.
+    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off _merge.  They
+    are unique, as [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d;
+    the exponent of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a
+    polynomial.  [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and the
+    two multiply to [n]! exactly when g(pi) + g(pi^c) = 1.  Raises NotSeparable.
 
     >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
     [1, 0, 1]
     """
-    up, down = [], []  # the [k]! and the [m]! [k-m]! of each skew sum
-    _evaluate(pi, pi.word, lambda k, m: up.append(k) or down.extend((m, k - m)) or 1)
-    up, down = Counter(up), Counter(down)
-    return list(accumulate(up[i] - down[i] for i in range(pi.size, 1, -1)))[::-1]  # g_n..g_2, reversed
+    return list(_exponents(pi, pi.word).values())[::-1]
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

@@ -2,7 +2,7 @@
 function of its lower interval and four derived predicates (separable,
 rank-symmetric, unimodal, cyclotomic product, divisor of [n]!).
 
-Separable permutations go through the block recursion, evaluated on
+Separable permutations go through the block recursion, read off
 is_separable's merge pass; non-separable ones go through linear extensions of the inversion poset.
 That is the only record route; interval BFS stays as the cross-check in
 `verify ff` and the tests.  Every scan, with or without an output file,

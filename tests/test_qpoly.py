@@ -21,10 +21,10 @@ from weakbruhat.qpoly import (
     _orders_upto,
     cyclotomic,
     is_cyclotomic_product,
-    packed_binomial,
     q_binomial,
     q_factorial,
     q_int,
+    qint_product,
 )
 from weakbruhat.separable import gf_below_recursive
 
@@ -94,13 +94,39 @@ def test_q_binomial_cached_value_is_exact_and_unshared():
     assert cached.coeffs == before == fresh.coeffs
 
 
-@pytest.mark.parametrize("width", (64, 67, 90))
-def test_packed_binomial_is_the_factorial_quotient(width):
-    # the quotient of q-factorials is the reference route
+def test_expansion_is_the_factorial_quotient():
+    # the quotient of q-factorials and products of q_int are the reference
+    # routes; k >= 21 crosses the 64-bit slot
     for k in range(31):
+        plain = ONE
+        for i in range(1, k + 1):
+            plain = plain * q_int(i)
+        assert q_factorial(k) == qint_product(dict.fromkeys(range(2, k + 1), 1)) == plain, k
         for m in range(k + 1):
             quotient = q_factorial(k).exact_div(q_factorial(m) * q_factorial(k - m))
-            assert packed_binomial(k, m, width) == quotient.packed(width), (k, m)
+            exponents = {i: 1 - (i <= m) - (i <= k - m) for i in range(2, k + 1)}
+            assert q_binomial(k, m) == qint_product(exponents) == quotient, (k, m)
+
+
+def test_expansion_width_is_taken_from_the_numerator():
+    # [4]^40 has coefficients past a 64-bit slot (4^40 = 2^80 at q = 1), so
+    # pack_width(4) alone would unpack it wrong; [4]^40 / [2]^40 = (1 + q^2)^40
+    # has the same numerator, while every coefficient of the quotient fits
+    power = ONE
+    for _ in range(40):
+        power = power * q_int(4)
+    assert max(power.coeffs) >= 2**63
+    assert qint_product({4: 40}) == power
+    plain = ONE
+    for _ in range(40):
+        plain = plain * IntPoly((1, 0, 1))
+    assert max(plain.coeffs) < 2**63
+    assert qint_product({2: -40, 4: 40}) == plain
+
+
+def test_expansion_rejects_a_divisor_that_leaves_a_remainder():
+    with pytest.raises(NonzeroRemainder):
+        qint_product({2: 1, 3: -1})
 
 
 def test_a_long_skew_sum_takes_one_binomial():

@@ -392,9 +392,9 @@ def test_merge_pass_reads_words_past_the_recursion_limit():
 
 
 def test_block_recursion_leaves_no_reference_cycle():
-    # the merge pass keeps its blocks on a local stack and takes the
-    # binomial as an argument; once a call returns, only reference
-    # counting should be needed to free what it made
+    # the merge pass keeps its blocks on a local stack and returns a list
+    # of exponent deltas; once a call returns, only reference counting
+    # should be needed to free what it made
     pi = Permutation((4, 1, 3, 2, 7, 5, 6))
     gc.collect()
     gc.disable()

@@ -434,14 +434,13 @@ def test_negative_coefficients_are_caught_on_the_cache_miss(monkeypatch):
 
 
 def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
-    # every key of these tables is O(n^2): a pair (n, m), or an order d
-    # with phi(d) at most the degree n(n-1)/2
+    # every key of these tables is O(n^2): an order d with phi(d) at most
+    # the degree n(n-1)/2, or a q-integer [i], i <= n, at a slot width
     from weakbruhat import qpoly
-    from weakbruhat.qpoly import cyclotomic, packed_binomial
+    from weakbruhat.qpoly import cyclotomic
 
     n = 7
-    tables = (cyclotomic, packed_binomial)
-    for table in (*tables, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic):
+    for table in (cyclotomic, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic, qpoly._packed_qint):
         table.cache_clear()
     widths = set()
     slot_width = qpoly._slot_width
@@ -453,8 +452,10 @@ def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
 
     monkeypatch.setattr(qpoly, "_slot_width", recorded)
     scan(n, workers=1)
-    for table in tables:
-        assert 0 < table.cache_info().currsize <= (n + 1) * (n + 2) // 2, table
+    assert 0 < cyclotomic.cache_info().currsize <= (n + 1) * (n + 2) // 2
+    # at most one packed [i] per (i, width): every word of S_n is expanded
+    # at pack_width(n)
+    assert 0 < qpoly._packed_qint.cache_info().currsize <= n - 1
     # is_cyclotomic_product keeps one (d, phi(d)) list per power of two
     # up to the largest degree, [n]!'s, and one packed Phi_d per order
     # tried at each slot width

@@ -108,6 +108,18 @@ def test_expansion_is_the_factorial_quotient():
             assert q_binomial(k, m) == qint_product(exponents) == quotient, (k, m)
 
 
+@pytest.mark.parametrize("width", (64, 67, 90))
+def test_packed_binomial_is_the_factorial_quotient(width):
+    # the Gaussian binomial packed at q = 2^width is the packed quotient of
+    # q-factorials, at a slot at, just past and well past 64 bits
+    for k in range(31):
+        for m in range(k + 1):
+            quotient = q_factorial(k).exact_div(q_factorial(m) * q_factorial(k - m))
+            packed = q_binomial(k, m).packed(width)
+            assert packed == quotient.packed(width), (k, m)
+            assert IntPoly.from_packed(packed, width) == quotient, (k, m)
+
+
 def test_expansion_width_is_taken_from_the_numerator():
     # [4]^40 has coefficients past a 64-bit slot (4^40 = 2^80 at q = 1), so
     # pack_width(4) alone would unpack it wrong; [4]^40 / [2]^40 = (1 + q^2)^40

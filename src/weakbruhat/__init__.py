@@ -2,7 +2,7 @@
 intervals in the symmetric group, with closed formulas on separable
 permutations and exhaustive verification tooling."""
 
-from .bijection import build_pair_table, check_bijection, invert_phi, phi
+from .bijection import build_pair_table, check_bijection, invert_phi, phi, phi_inverter
 from .errors import (
     CheckpointError,
     GuardExceeded,
@@ -103,6 +103,7 @@ __all__ = [
     "ordinal_sum",
     "parse_permutation",
     "phi",
+    "phi_inverter",
     "q_binomial",
     "q_factorial",
     "q_int",

@@ -11,10 +11,15 @@ and sort as tuple words would.  Permutation objects are built only for
 PairTable.entries and the collisions of a failed check.  A table holds
 words of at most MAX_LETTERS letters, and without force at most
 weak_order.WORD_BUDGET pairs.
-invert_phi reconstructs the unique preimage of a target w by one loop
-down pi's separating tree, whose leaves are letters, filling u and v
-slot by slot.  It verifies its answer and raises InternalInversionFailure
-if the check fails, since the construction is easy to get subtly wrong.
+phi_inverter(pi) tests pi's separability and builds its separating tree
+and its table of inversions once, and returns a function that inverts
+phi at any number of targets w.  Since phi(u, v) = w says that
+v[s] = u[w[s] - 1], one loop down the tree, whose leaves are letters,
+hands each block its places of u and its slots of v.  Every answer is
+verified (u and v are permutations, phi(u, v) = w, and u <= pi <= v
+against pi's table), and a failed check raises InternalInversionFailure,
+since the construction is easy to get subtly wrong.  invert_phi(pi, w)
+is one target of phi_inverter(pi).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from itertools import chain, product
 from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
-from .perm import Permutation, _trusted, compose, identity, leq_weak, longest_element, word_text
+from .perm import Permutation, _trusted, compose, identity, longest_element, word_text
 from .separable import POSITIVE, Internal, is_separable, separating_tree, tree_size
 from .weak_order import MAX_LETTERS, check_budget, interval
 
@@ -131,39 +136,104 @@ def check_bijection(pi: Permutation, force: bool = False) -> BijectionReport:
 
 def _construct(root: Internal | int, w):
     """Words (u, v) with u <= p <= v and phi(u, v) = w, where p is the
-    word of root's tree, filled from the root down.  Each block owns
-    slots of u and of v, ascending, and a target t: its j-th slot of v
-    takes the letter of its t[j]-th slot of u.  Each half's target is t
-    on its own letters, standardised to 1..size."""
-    n = tree_size(root)
+    word of root's tree, filled from the root down.  phi(u, v) = w says
+    that v[s] = u[w[s] - 1] at every slot s, so each block owns places
+    of u (counted from 1) and slots of v, both ascending, and w sends
+    its slots onto its places; a letter writes itself into its one
+    place and its one slot."""
+    if type(root) is int:
+        return (root,), (root,)
+    n = root.size
     u, v = [0] * n, [0] * n
-    stack = [(root, range(n), range(n), w)]
+    stack = [(root, range(1, n + 1), range(n))]
     while stack:
-        node, u_slots, v_slots, t = stack.pop()
-        if type(node) is int:
-            u[u_slots[0]] = v[v_slots[0]] = node
-            continue
-        m = tree_size(node.left)
+        node, places, slots = stack.pop()
+        left, right = node.left, node.right
+        m = tree_size(left)
         if node.sign == POSITIVE:
-            # the low half takes the first m slots of u, and those of v where t <= m
-            low = [a <= m for a in t]
-            low_v = [s for s, x in zip(v_slots, low) if x]
-            high_v = [s for s, x in zip(v_slots, low) if not x]
-            stack.append((node.left, u_slots[:m], low_v, [a for a in t if a <= m]))
-            stack.append((node.right, u_slots[m:], high_v, [a - m for a in t if a > m]))
+            # the low half takes the first m places, and the slots that w sends there
+            top = places[m - 1]
+            left_places, right_places = places[:m], places[m:]
+            left_slots = [s for s in slots if w[s] <= top]
+            right_slots = [s for s in slots if w[s] > top]
         else:
-            # the high half takes the first m slots of v, and those of u that t[:m] names
-            rank = [0] * (len(t) + 1)
-            for half, v_half, t_half in (node.left, v_slots[:m], t[:m]), (node.right, v_slots[m:], t[m:]):
-                named = sorted(t_half)
-                for r, a in enumerate(named, 1):
-                    rank[a] = r
-                stack.append((half, [u_slots[a - 1] for a in named], v_half, [rank[a] for a in t_half]))
+            # the high half takes the first m slots, and the places that w sends them to
+            left_slots, right_slots = slots[:m], slots[m:]
+            left_places = sorted([w[s] for s in left_slots])
+            right_places = sorted([w[s] for s in right_slots])
+        if type(left) is int:
+            u[left_places[0] - 1] = v[left_slots[0]] = left
+        else:
+            stack.append((left, left_places, left_slots))
+        if type(right) is int:
+            u[right_places[0] - 1] = v[right_slots[0]] = right
+        else:
+            stack.append((right, right_places, right_slots))
     return tuple(u), tuple(v)
 
 
+def _within(u, inv, v) -> bool:
+    """u <= pi <= v in the right weak order, for words u and v of pi's letters,
+    where inv[a] holds the letters b > a that pi places before a, bit b - a
+    standing for b: those that u places before a are among them, and v places
+    them all before a."""
+    seen = 0
+    for a in u:
+        if (seen >> a) & ~inv[a]:
+            return False
+        seen |= 1 << a
+    seen = 0
+    for a in v:
+        if inv[a] & ~(seen >> a):
+            return False
+        seen |= 1 << a
+    return True
+
+
+def phi_inverter(pi: Permutation):
+    """w -> the unique (u, v) with u <= pi <= v and phi(u, v) = w, for any
+    number of targets w of pi's size.  pi's separability, its separating
+    tree and its table of inversions are read once, here.
+
+    Every pair is verified before it is returned: u and v are Permutations,
+    phi(u, v) = w, and u <= pi <= v against pi's table.  A pair that fails
+    raises InternalInversionFailure.
+
+    >>> invert = phi_inverter(Permutation((4, 1, 3, 2)))
+    >>> print(*invert(Permutation((2, 3, 1, 4))))
+    1432 4312
+    >>> print(*invert(Permutation((1, 2, 3, 4))))
+    4132 4132
+    """
+    if not is_separable(pi):
+        raise NotSeparable(f"{pi} contains 3142 or 2413")
+    root, n = separating_tree(pi), pi.size
+    inv, seen = [0] * (n + 1), 0  # _within's table, bit b - a of inv[a] for letter b
+    for a in pi.word:
+        inv[a] = seen >> a
+        seen |= 1 << a
+
+    def invert(w: Permutation):
+        if w.size != n:
+            raise ValueError(f"size mismatch: {n} vs {w.size}")
+        u_word, v_word = _construct(root, w.word)
+        try:
+            u, v = Permutation(u_word), Permutation(v_word)
+            if phi(u, v) == w and _within(u.word, inv, v.word):
+                return u, v
+        except ValueError:  # a word that is no permutation, or of another size
+            pass
+        raise InternalInversionFailure(
+            f"no verified preimage of {w} for pi = {pi}"
+            f" (construction gave {word_text(u_word)}, {word_text(v_word)})"
+        )
+
+    return invert
+
+
 def invert_phi(pi: Permutation, w: Permutation):
-    """The unique (u, v) with u <= pi <= v and phi(u, v) = w.
+    """The unique (u, v) with u <= pi <= v and phi(u, v) = w: one target of
+    phi_inverter(pi).
 
     The construction is always verified before returning; a pair that
     fails the check raises InternalInversionFailure.
@@ -176,11 +246,4 @@ def invert_phi(pi: Permutation, w: Permutation):
     """
     if pi.size != w.size:
         raise ValueError(f"size mismatch: {pi.size} vs {w.size}")
-    if not is_separable(pi):
-        raise NotSeparable(f"{pi} contains 3142 or 2413")
-    u, v = map(Permutation, _construct(separating_tree(pi), w.word))
-    if phi(u, v) == w and leq_weak(u, pi) and leq_weak(pi, v):
-        return u, v
-    raise InternalInversionFailure(
-        f"no verified preimage of {w} for pi = {pi} (construction gave {u}, {v})"
-    )
+    return phi_inverter(pi)(w)

@@ -12,9 +12,11 @@ sums.  Its skew sums give the block recursion as gf_below = prod [i]^(g_i)
 at q = 1, and analyze tests for the main theorem and cyclotomy.
 separating_tree runs the same reduction right to left, keeping each merge
 as an Internal node, split at the smallest prefix block, and each letter
-as an int leaf; every walk of it keeps an explicit stack.  The tests check
-the recursion against a closed formula read off the tree, and separability
-against avoidance of 3142 and 2413.
+as an int leaf; every walk of it keeps an explicit stack.  The closed
+formulas read a q-factorial off each run of equal sign in the tree, and
+sum their powers into exponents of [i] as _merge does, for qint_product
+to expand.  verify and the tests check them against the recursion, and
+separability against avoidance of 3142 and 2413.
 
 Each route is written once, for the lower interval [id, pi].  The upper
 interval [pi, w0] is its complement dual: read backwards it is
@@ -59,6 +61,14 @@ def _merge(word):
             stack.pop()
         stack.append((lo, hi))
     return deltas if len(stack) == 1 else None
+
+
+def _powers(deltas: list[int]) -> dict[int, int]:
+    # {i: g_i}, i = n down to 2, from the powers deltas[j] of [j]!: [i] divides [j]! for j >= i
+    g, total = {}, 0
+    for i in range(len(deltas) - 1, 1, -1):
+        g[i] = total = total + deltas[i]
+    return g
 
 
 def is_separable(pi: Permutation) -> bool:
@@ -146,22 +156,22 @@ def _closed_formula(root: Internal | int, sign: str) -> IntPoly:
     tree: a non-root internal node whose parent has the other sign
     contributes the q-factorial of its leaf count, to the numerator
     when its sign is `sign` and to the denominator otherwise; the root
-    contributes [n]! to the numerator when its sign is `sign`."""
-    num, den = ONE, ONE
-    stack = [(root, None)]
+    contributes [n]! to the numerator when its sign is `sign`.  As in
+    _merge, deltas[k] sums the powers of [k]!, and its suffix sums are
+    the exponents of [i] that qint_product expands."""
+    deltas = [0] * (tree_size(root) + 1)
+    stack = [(root, None)] if type(root) is Internal else []
     while stack:
         node, parent_sign = stack.pop()
-        if type(node) is int:
-            continue
-        stack.append((node.left, node.sign))
-        stack.append((node.right, node.sign))
-        if node.sign == parent_sign:
-            continue
-        if node.sign == sign:
-            num = num * q_factorial(node.size)
-        elif parent_sign is not None:
-            den = den * q_factorial(node.size)
-    return num.exact_div(den)
+        if node.sign != parent_sign:
+            if node.sign == sign:
+                deltas[node.size] += 1
+            elif parent_sign is not None:
+                deltas[node.size] -= 1
+        for child in node.left, node.right:
+            if type(child) is Internal:
+                stack.append((child, node.sign))
+    return qint_product(_powers(deltas))
 
 
 def gf_below_closed(root: Internal | int) -> IntPoly:
@@ -188,14 +198,11 @@ def gf_above_closed(root: Internal | int) -> IntPoly:
 
 
 def _exponents(pi: Permutation, word) -> dict[int, int]:
-    # {i: g_i}, i = n down to 2, of word (pi's or pi^c's): [i] divides [j]! for j >= i
+    # _powers of word, pi's or pi^c's
     deltas = _merge(word)
     if deltas is None:
         raise NotSeparable(f"{pi} is not separable")  # naming pi, not word
-    g, total = {}, 0
-    for i in range(len(deltas) - 1, 1, -1):
-        g[i] = total = total + deltas[i]
-    return g
+    return _powers(deltas)
 
 
 def gf_below_recursive(pi: Permutation) -> IntPoly:

@@ -7,6 +7,7 @@ at size 4."""
 import csv
 import io
 import random
+from itertools import product
 from math import factorial
 
 import pytest
@@ -22,8 +23,9 @@ from weakbruhat.bijection import (
     check_bijection,
     invert_phi,
     phi,
+    phi_inverter,
 )
-from weakbruhat.errors import GuardExceeded, InternalInversionFailure
+from weakbruhat.errors import GuardExceeded, InternalInversionFailure, NotSeparable
 from weakbruhat.perm import (
     Permutation,
     all_permutations,
@@ -83,11 +85,28 @@ def test_invert_phi_round_trip(n):
             continue
         below = set(interval(identity(n), pi).elements())
         above = set(interval(pi, longest_element(n)).elements())
+        invert = phi_inverter(pi)
         for w in all_permutations(n):
-            u, v = invert_phi(pi, w)
+            u, v = invert(w)
             assert phi(u, v) == w
             assert u.word in below
             assert v.word in above
+
+
+@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
+def test_inverter_gives_the_pair_of_the_pair_table(n):
+    # the pair table is phi read extensionally, one pair per image
+    perms = list(all_permutations(n))
+    for pi in perms:
+        if not is_separable(pi):
+            continue
+        table = build_pair_table(pi)
+        pair_of = dict(zip(table.images(), product(table.below, table.above)))
+        invert = phi_inverter(pi)
+        for w in perms:
+            u, v = invert(w)
+            assert (bytes(u.word), bytes(v.word)) == pair_of[bytes(w.word)]
+            assert invert_phi(pi, w) == (u, v)
 
 
 @settings(max_examples=40)
@@ -120,16 +139,32 @@ def test_invert_phi_of_long_words(word):
 
 def test_invert_phi_raises_on_a_wrong_construction(monkeypatch):
     # _construct fills u and v from pi's separating tree; answer with
-    # pi's own word twice
+    # pairs that each fail one part of the check
     pi, w = Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4))
-    monkeypatch.setattr(bijection, "_construct", lambda root, w: (pi.word, pi.word))
-    with pytest.raises(InternalInversionFailure, match=str(pi)):
-        invert_phi(pi, w)
+    w0 = longest_element(4)
+    wrong = {
+        "pi twice": (pi.word, pi.word),  # phi(pi, pi) is the identity
+        "u above pi": (w0.word, compose(w0, w).word),  # phi(u, v) = w, u not <= pi
+        "v not above pi": ((1, 2, 3, 4), w.word),  # phi(u, v) = w, u <= pi, pi not <= v
+        "a repeated letter": ((1, 1, 3, 2), pi.word),
+    }
+    for u, v in wrong.values():
+        monkeypatch.setattr(bijection, "_construct", lambda root, w: (u, v))
+        for invert in (phi_inverter(pi), lambda w: invert_phi(pi, w)):
+            with pytest.raises(InternalInversionFailure, match=str(pi)):
+                invert(w)
 
 
 def test_invert_phi_size_mismatch():
     with pytest.raises(ValueError):
         invert_phi(Permutation((2, 1)), Permutation((1, 2, 3)))
+    with pytest.raises(ValueError):
+        phi_inverter(Permutation((2, 1)))(Permutation((1, 2, 3)))
+
+
+def test_phi_inverter_refuses_a_non_separable_word():
+    with pytest.raises(NotSeparable, match="2413"):
+        phi_inverter(Permutation((2, 4, 1, 3)))
 
 
 def test_pair_table_4132():

@@ -129,6 +129,21 @@ def test_packed_recursion_exact_past_64_bit_slots():
     assert gf_below_recursive(pi) == gf_below_closed(separating_tree(pi))
 
 
+def test_closed_formulas_on_a_tree_that_alternates_sign_at_every_level():
+    # 1, 80, 2, 79, ..., 40, 41: each split takes one letter off a block of
+    # the other sign, so each of the 79 splits tops a run of its own, and
+    # each closed formula is a quotient of 78 or 79 q-factorials up to [80]!
+    pi = Permutation(tuple(a for pair in zip(range(1, 41), range(80, 40, -1)) for a in pair))
+    root = node = separating_tree(pi)
+    signs = []
+    while type(node) is Internal:
+        signs.append(node.sign)
+        node = node.right
+    assert signs == [POSITIVE, NEGATIVE] * 39 + [POSITIVE]
+    assert gf_below_closed(root) == gf_below_recursive(pi)
+    assert gf_above_closed(root) == gf_above_recursive(pi)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_separable_counts_schroder(n):
     assert len(separable_words(n)) == schroder(n - 1)

@@ -12,7 +12,7 @@ PairTable.entries and the collisions of a failed check.  A table holds
 words of at most MAX_LETTERS letters, and without force at most
 weak_order.WORD_BUDGET pairs.
 phi_inverter(pi) tests pi's separability and builds its separating tree
-and its table of inversions once, and returns a function that inverts
+and its perm.inversion_table once, and returns a function that inverts
 phi at any number of targets w.  Since phi(u, v) = w says that
 v[s] = u[w[s] - 1], one loop down the tree, whose leaves are letters,
 hands each block its places of u and its slots of v.  Every answer is
@@ -29,7 +29,8 @@ from itertools import chain, product
 from math import factorial
 
 from .errors import InternalInversionFailure, NotSeparable
-from .perm import Permutation, _trusted, compose, identity, longest_element, word_text
+from .perm import Permutation, _trusted, compose, identity, inversion_table
+from .perm import longest_element, word_text
 from .separable import POSITIVE, Internal, is_separable, separating_tree, tree_size
 from .weak_order import MAX_LETTERS, check_budget, interval
 
@@ -173,10 +174,9 @@ def _construct(root: Internal | int, w):
 
 
 def _within(u, inv, v) -> bool:
-    """u <= pi <= v in the right weak order, for words u and v of pi's letters,
-    where inv[a] holds the letters b > a that pi places before a, bit b - a
-    standing for b: those that u places before a are among them, and v places
-    them all before a."""
+    """u <= pi <= v in the right weak order, for words u and v of pi's letters
+    and inv = inversion_table(pi.word): the letters b > a that u places before
+    a are among those of inv[a], and v places all of those before a."""
     seen = 0
     for a in u:
         if (seen >> a) & ~inv[a]:
@@ -193,7 +193,7 @@ def _within(u, inv, v) -> bool:
 def phi_inverter(pi: Permutation):
     """w -> the unique (u, v) with u <= pi <= v and phi(u, v) = w, for any
     number of targets w of pi's size.  pi's separability, its separating
-    tree and its table of inversions are read once, here.
+    tree and its inversion_table are read once, here.
 
     Every pair is verified before it is returned: u and v are Permutations,
     phi(u, v) = w, and u <= pi <= v against pi's table.  A pair that fails
@@ -207,11 +207,7 @@ def phi_inverter(pi: Permutation):
     """
     if not is_separable(pi):
         raise NotSeparable(f"{pi} contains 3142 or 2413")
-    root, n = separating_tree(pi), pi.size
-    inv, seen = [0] * (n + 1), 0  # _within's table, bit b - a of inv[a] for letter b
-    for a in pi.word:
-        inv[a] = seen >> a
-        seen |= 1 << a
+    root, n, inv = separating_tree(pi), pi.size, inversion_table(pi.word)
 
     def invert(w: Permutation):
         if w.size != n:
@@ -233,10 +229,7 @@ def phi_inverter(pi: Permutation):
 
 def invert_phi(pi: Permutation, w: Permutation):
     """The unique (u, v) with u <= pi <= v and phi(u, v) = w: one target of
-    phi_inverter(pi).
-
-    The construction is always verified before returning; a pair that
-    fails the check raises InternalInversionFailure.
+    phi_inverter(pi), verified as its answers are.
 
     >>> u, v = invert_phi(Permutation((4, 1, 3, 2)), Permutation((2, 3, 1, 4)))
     >>> print(u, v)

@@ -282,16 +282,14 @@ def qint_product(exponents: Mapping[int, int]) -> IntPoly:
     >>> print(qint_product({2: -1, 4: 1}))  # [4] / [2]
     1 + q^2
     """
-    top, width = 1, 0
-    while top.bit_length() >= width:  # until the slots hold the numerator at q = 1
-        width = max(pack_width(max(exponents, default=0)), top.bit_length() + 1)
-        top, up, down = 1, [], []
-        for i, e in exponents.items():
-            if e > 0:
-                top *= i**e
-                up.append(_packed_qint(i, width) ** e)
-            elif e < 0:
-                down.append(_packed_qint(i, width) ** -e)
+    top = prod([i**e for i, e in exponents.items() if e > 0])  # the numerator at q = 1
+    width = max(pack_width(max(exponents, default=0)), top.bit_length() + 1)
+    up, down = [], []
+    for i, e in exponents.items():
+        if e > 0:
+            up.append(_packed_qint(i, width) ** e)
+        elif e < 0:
+            down.append(_packed_qint(i, width) ** -e)
     value, rem = divmod(_pairwise_prod(up), _pairwise_prod(down))
     if rem:
         raise NonzeroRemainder("remainder is not zero")

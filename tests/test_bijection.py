@@ -41,10 +41,15 @@ from weakbruhat.weak_order import interval
 
 def _reference_rows(pi):
     """(u, v, phi(u, v)) for every u <= pi <= v, through Permutation
-    objects, u-major in interval order."""
+    objects, u-major in interval order: phi(u, v) = compose(inverse(u), v),
+    with each u inverted once."""
     below = list(map(Permutation, interval(identity(pi.size), pi).elements()))
     above = list(map(Permutation, interval(pi, longest_element(pi.size)).elements()))
-    return [(u, v, phi(u, v)) for u in below for v in above]
+    rows = []
+    for u in below:
+        u_inverse = u.inverse()
+        rows += [(u, v, compose(u_inverse, v)) for v in above]
+    return rows
 
 
 def test_phi_fixtures():
@@ -79,34 +84,24 @@ def test_failure_set_is_exactly_non_separable(n):
 
 
 @pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
-def test_invert_phi_round_trip(n):
-    for pi in all_permutations(n):
-        if not is_separable(pi):
-            continue
-        below = set(interval(identity(n), pi).elements())
-        above = set(interval(pi, longest_element(n)).elements())
-        invert = phi_inverter(pi)
-        for w in all_permutations(n):
-            u, v = invert(w)
-            assert phi(u, v) == w
-            assert u.word in below
-            assert v.word in above
-
-
-@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
 def test_inverter_gives_the_pair_of_the_pair_table(n):
-    # the pair table is phi read extensionally, one pair per image
+    # the pair table is phi read extensionally, one pair per image, from
+    # the walks of [e, pi] and [pi, w0]; so the inverse round-trips and
+    # lands in both intervals.  invert_phi(pi, w) is one call of
+    # phi_inverter(pi) after a size check: at n = 6 it is compared on
+    # every target of a seeded tenth of the separable words
     perms = list(all_permutations(n))
-    for pi in perms:
-        if not is_separable(pi):
-            continue
+    separable = [pi for pi in perms if is_separable(pi)]
+    sample = set(separable if n < 6 else random.Random(n).sample(separable, len(separable) // 10))
+    for pi in separable:
         table = build_pair_table(pi)
         pair_of = dict(zip(table.images(), product(table.below, table.above)))
-        invert = phi_inverter(pi)
+        invert, sampled = phi_inverter(pi), pi in sample
         for w in perms:
-            u, v = invert(w)
+            u, v = pair = invert(w)
+            assert phi(u, v) == w
             assert (bytes(u.word), bytes(v.word)) == pair_of[bytes(w.word)]
-            assert invert_phi(pi, w) == (u, v)
+            assert not sampled or invert_phi(pi, w) == pair
 
 
 @settings(max_examples=40)

@@ -15,6 +15,7 @@ from weakbruhat.perm import (
     avoids_231,
     compose,
     identity,
+    inversion_table,
     leq_weak,
     longest_element,
     parse_permutation,
@@ -162,6 +163,27 @@ def test_leq_weak_matches_length_additivity_large(pair, other):
         assert leq_weak(x, y) == leq_by_length_additivity(x, y)
 
 
+def test_leq_weak_matches_inversion_containment_at_300_letters():
+    # words past bytes, and an inversion of letters 299 apart, past 255 bits of a mask
+    n = 300
+    v = Permutation((1, *range(n, 1, -1)))  # every pair of letters past 1 inverted
+    below = Permutation((1, n, *range(2, n)))  # only the pairs (a, n), a > 1
+    beside = Permutation((n, *range(1, n)))  # and (1, n), which v lacks
+    for u, comparable in ((below, True), (beside, False)):
+        assert (inversion_values(u) <= inversion_values(v)) == comparable
+        assert leq_weak(u, v) == comparable
+        assert not inversion_values(v) <= inversion_values(u)
+        assert not leq_weak(v, u)
+
+
+def test_inversion_table_holds_the_inversions():
+    for pi in all_permutations(5):
+        inv = inversion_table(pi.word)
+        assert len(inv) == 6 and inv[0] == 0
+        marked = {(a, a + k) for a in range(1, 6) for k in range(6) if inv[a] >> k & 1}
+        assert marked == inversion_values(pi)
+
+
 def test_leq_weak_fixtures():
     assert not leq_weak(Permutation((2, 1, 3, 4)), Permutation((1, 2, 4, 3)))
     assert leq_weak(Permutation((4, 1, 3, 2)), Permutation((4, 3, 1, 2)))
@@ -214,6 +236,22 @@ def test_all_permutations_lex_and_complete():
     assert words == sorted(words)
     assert words[0] == (1, 2, 3, 4)
     assert words[-1] == (4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_all_permutations_refuses_sizes_below_one(n):
+    with pytest.raises(ValueError, match="empty word"):
+        next(all_permutations(n))
+
+
+def test_all_permutations_equal_validated_permutations():
+    # the words are yielded unchecked, since they are valid by construction
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            q = Permutation(list(p.word))
+            assert type(p) is Permutation and type(p.word) is tuple
+            assert p == q and hash(p) == hash(q) and p.word == q.word
+            assert p.length == q.length == len(inversion_values(q))
 
 
 def test_parse_permutation():

@@ -84,6 +84,22 @@ def test_failure_set_is_exactly_non_separable(n):
 
 
 @pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
+def test_invert_phi_round_trip(n):
+    perms = list(all_permutations(n))
+    for pi in perms:
+        if not is_separable(pi):
+            continue
+        below = set(interval(identity(n), pi).elements())
+        above = set(interval(pi, longest_element(n)).elements())
+        invert = phi_inverter(pi)
+        for w in perms:
+            u, v = invert(w)
+            assert phi(u, v) == w
+            assert u.word in below
+            assert v.word in above
+
+
+@pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
 def test_inverter_gives_the_pair_of_the_pair_table(n):
     # the pair table is phi read extensionally, one pair per image, from
     # the walks of [e, pi] and [pi, w0]; so the inverse round-trips and

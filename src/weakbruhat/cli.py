@@ -93,11 +93,10 @@ def _memory_note(objects: int, exact: bool = False) -> None:
 
 
 def _check_words(pi: Permutation, sep: bool, force: bool, *sides: str) -> None:
-    # An interval holds as many words as its polynomial's value at q = 1,
-    # a pair table the product over both sides.  A separable word's
-    # sizes come cheaply from the block recursion, so the budget refuses
-    # it before any walk.  A non-separable word is counted from `_gf`
-    # only for the --force note, and is otherwise left to the walk.
+    # An interval holds its polynomial's value at q = 1 in words, a pair
+    # table the product over both sides.  The block recursion sizes a
+    # separable word cheaply, so the budget refuses it before any walk; a
+    # non-separable one is counted by `_gf` only for the --force note.
     if sep:
         sizes = dict(zip(("below", "above"), interval_sizes(pi)))
         words = prod(sizes[side] for side in sides)
@@ -120,8 +119,8 @@ def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
 def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
     """Rank generating function of [id, pi] (side "below") or [pi, w0]
     ("above"): the block recursion on separable words, linear
-    extensions of the inversion poset on the rest.  [pi, w0] read
-    backwards is [id, pi^c], so the upper side runs on the complement."""
+    extensions of the inversion poset on the rest, whose upper side runs
+    on the complement: [pi, w0] read backwards is [id, pi^c]."""
     if sep:
         return gf_below_recursive(pi) if side == "below" else gf_above_recursive(pi)
     if side == "below":
@@ -135,9 +134,8 @@ def _cmd_analyze(args) -> int:
     _gf_note(pi, sep, args.force)
     below = _gf(pi, "below", sep, args.force)
     above = _gf(pi, "above", sep, args.force)
-    if sep:  # both checks from the q-integer exponents (see qint_exponents)
-        g, g_c = qint_exponents(pi), qint_exponents(pi.complement())
-        product = all(a + b == 1 for a, b in zip(g, g_c))
+    if sep:  # the main theorem, and cyclotomy from the exponents (see qint_exponents)
+        g, product = qint_exponents(pi), True
         cyclotomic = all(sum(g[d - 2 :: d]) >= 0 for d in range(2, pi.size + 1))
     else:
         product, cyclotomic = below * above == q_factorial(pi.size), is_cyclotomic_product(below)

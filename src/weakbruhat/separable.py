@@ -3,29 +3,27 @@ closed-form rank generating functions they admit.
 
 A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
-values of its block.  Such a split is positive (the prefix holds the
-low values: a direct sum) or negative (the high values: a skew sum).
-Nothing here recurses on the word.  One pass, _merge, reads the word left
-to right and merges abutting value blocks on a stack as direct or skew
-sums.  Its skew sums give the block recursion as gf_below = prod [i]^(g_i)
-(qint_exponents), which qpoly.qint_product expands, interval_sizes takes
-at q = 1, and analyze tests for the main theorem and cyclotomy.
-separating_tree runs the same reduction right to left, keeping each merge
-as an Internal node, split at the smallest prefix block, and each letter
-as an int leaf; every walk of it keeps an explicit stack.  The closed
-formulas read a q-factorial off each run of equal sign in the tree, and
-sum their powers into exponents of [i] as _merge does, for qint_product
-to expand.  verify and the tests check them against the recursion, and
-separability against avoidance of 3142 and 2413.
+values of its block, a positive split (direct sum) or a negative one
+(skew sum).  Nothing here recurses on the word.  One pass, _merge, reads
+it left to right and merges abutting value blocks on a stack; its skew
+sums give the block recursion as gf_below = prod [i]^(g_i)
+(qint_exponents), which qpoly.qint_product expands and interval_sizes
+takes at q = 1.  separating_tree runs the same reduction right to left,
+keeping each merge as an Internal node and each letter as an int leaf.
+The closed formulas read a q-factorial off each run of equal sign in
+the tree, and verify and the tests check them against the recursion.
 
-Each route is written once, for the lower interval [id, pi].  The upper
-interval [pi, w0] is its complement dual: read backwards it is
-[id, pi^c], and complementing flips every sign of the separating tree.
+The upper interval [pi, w0] read backwards is [id, pi^c], which _merge
+would reduce through the same blocks with direct and skew sums swapped.
+So each merge of k = m + r letters is a skew sum in exactly one of pi
+and pi^c, and the binomials [k]! / ([m]! [r]!) of all merges telescope
+from [1]! = 1 to [n]!: g_i(pi^c) = 1 - g_i(pi), no second pass is run,
+and the main theorem, gf_below * gf_above = [n]!, holds by construction.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import factorial, prod
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation, avoids_231
@@ -120,10 +118,9 @@ def tree_size(node: Internal | int) -> int:
 
 def separating_tree(pi: Permutation, largest: bool = False) -> Internal | int:
     """Root of the canonical separating tree, which splits each block at
-    its smallest prefix block: _merge's stack reduction read right to
-    left, with each merge kept as a node.  Read left to right
-    (largest=True) it splits at the largest, for checking that tree
-    choice does not matter.
+    its smallest prefix block: _merge's reduction read right to left, each
+    merge kept as a node.  Read left to right (largest=True) it splits at
+    the largest, for checking that tree choice does not matter.
 
     >>> t = separating_tree(Permutation((4, 2, 3, 1)))
     >>> t.sign, t.right.sign, t.right.left.sign
@@ -154,11 +151,10 @@ def separating_tree(pi: Permutation, largest: bool = False) -> Internal | int:
 def _closed_formula(root: Internal | int, sign: str) -> IntPoly:
     """Ratio of q-factorials over the maximal runs of equal sign in the
     tree: a non-root internal node whose parent has the other sign
-    contributes the q-factorial of its leaf count, to the numerator
-    when its sign is `sign` and to the denominator otherwise; the root
-    contributes [n]! to the numerator when its sign is `sign`.  As in
-    _merge, deltas[k] sums the powers of [k]!, and its suffix sums are
-    the exponents of [i] that qint_product expands."""
+    contributes the q-factorial of its leaf count, to the numerator when
+    its sign is `sign` and to the denominator otherwise, and the root [n]!
+    to the numerator when its sign is `sign`.  As in _merge, deltas[k]
+    sums the powers of [k]!, for _powers and qint_product."""
     deltas = [0] * (tree_size(root) + 1)
     stack = [(root, None)] if type(root) is Internal else []
     while stack:
@@ -175,9 +171,8 @@ def _closed_formula(root: Internal | int, sign: str) -> IntPoly:
 
 
 def gf_below_closed(root: Internal | int) -> IntPoly:
-    """Closed formula for the rank generating function of the interval
-    from the identity up to the tree's permutation: negative runs go in
-    the numerator, positive runs in the denominator.
+    """Closed formula for the interval from the identity up to the
+    tree's permutation: negative runs in the numerator, positive below.
 
     >>> print(gf_below_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + 2*q + 2*q^2 + 2*q^3 + q^4
@@ -187,9 +182,8 @@ def gf_below_closed(root: Internal | int) -> IntPoly:
 
 def gf_above_closed(root: Internal | int) -> IntPoly:
     """Closed formula for the interval from the permutation up to the
-    reversal.  This is the complement dual of gf_below_closed:
-    complementing the word flips every sign of its tree, so the
-    positive runs go in the numerator instead.
+    reversal, the complement dual of gf_below_closed: complementing
+    flips every sign of the tree, so positive runs go in the numerator.
 
     >>> print(gf_above_closed(separating_tree(Permutation((4, 1, 3, 2)))))
     1 + q + q^2
@@ -197,11 +191,10 @@ def gf_above_closed(root: Internal | int) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-def _exponents(pi: Permutation, word) -> dict[int, int]:
-    # _powers of word, pi's or pi^c's
-    deltas = _merge(word)
+def _exponents(pi: Permutation) -> dict[int, int]:
+    deltas = _merge(pi.word)
     if deltas is None:
-        raise NotSeparable(f"{pi} is not separable")  # naming pi, not word
+        raise NotSeparable(f"{pi} is not separable")
     return _powers(deltas)
 
 
@@ -209,40 +202,42 @@ def gf_below_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the lower interval by the block recursion,
     a product of Gaussian binomials that _merge reads as prod [i]^(g_i), and
     qint_product expands.  Raises NotSeparable if more blocks are left."""
-    return qint_product(_exponents(pi, pi.word))
+    return qint_product(_exponents(pi))
 
 
 def gf_above_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the upper interval by complement duality:
     [pi, w0] read backwards is [id, pi^c], whose product of palindromic [i]
-    is its own reverse.  NotSeparable names pi itself."""
-    return qint_product(_exponents(pi, pi.complement().word))
+    is its own reverse.  The binomials of pi's merges, each a skew sum in pi
+    or in pi^c, telescope to [n]!, so g_i(pi^c) = 1 - g_i(pi) and no
+    complement word is built.  Raises NotSeparable."""
+    return qint_product({i: 1 - e for i, e in _exponents(pi).items()})
 
 
 def interval_sizes(pi: Permutation) -> tuple[int, int]:
-    """|[id, pi]| and |[pi, w0]|: the two recursions above at q = 1, where
-    [i] = i, in exact integers.  Raises NotSeparable for a non-separable pi.
+    """|[id, pi]|, the lower recursion at q = 1, where [i] = i, in exact
+    integers, and |[pi, w0]| = n! over it.  Raises NotSeparable.
 
     >>> interval_sizes(Permutation((4, 1, 3, 2)))
     (8, 3)
     """
-    return tuple(
-        prod(i**e for i, e in g.items() if e > 0) // prod(i**-e for i, e in g.items() if e < 0)
-        for g in (_exponents(pi, pi.word), _exponents(pi, pi.complement().word))
-    )
+    g = _exponents(pi)
+    below = prod(i**e for i, e in g.items() if e > 0) // prod(i**-e for i, e in g.items() if e < 0)
+    return below, factorial(pi.size) // below
 
 
 def qint_exponents(pi: Permutation) -> list[int]:
     """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off _merge.  They
     are unique, as [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d;
     the exponent of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a
-    polynomial.  [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and the
-    two multiply to [n]! exactly when g(pi) + g(pi^c) = 1.  Raises NotSeparable.
+    polynomial.  [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and
+    g(pi) + g(pi^c) = 1: each merge is a skew sum in one of the two words, and the
+    binomials of all merges telescope to [n]!.  Raises NotSeparable.
 
     >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
     [1, 0, 1]
     """
-    return list(_exponents(pi, pi.word).values())[::-1]
+    return list(_exponents(pi).values())[::-1]
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:
@@ -268,10 +263,10 @@ def gf_below_231(pi: Permutation) -> IntPoly:
 
 
 def gf_above_from_complement(pi: Permutation) -> IntPoly:
-    """Upper interval generating function obtained by dividing [n]! by
-    the lower one; the division is exact for separable input.  It is
-    kept as an independent check on the complement-dual routes
-    gf_above_recursive and gf_above_closed."""
+    """Upper interval generating function as [n]! over the lower one, by
+    long division (IntPoly.exact_div), exact for separable input.  It checks
+    the packed division of qint_product, as gf_above_recursive takes the
+    same quotient on exponents, not the complement duality."""
     return q_factorial(pi.size).exact_div(gf_below_recursive(pi))
 
 

@@ -84,37 +84,33 @@ def test_failure_set_is_exactly_non_separable(n):
 
 
 @pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
-def test_invert_phi_round_trip(n):
-    perms = list(all_permutations(n))
-    for pi in perms:
-        if not is_separable(pi):
-            continue
+def test_invert_phi_round_trip(n, phi_inverses):
+    perms, rows = phi_inverses(n)
+    for pi, pairs in rows:
         below = set(interval(identity(n), pi).elements())
         above = set(interval(pi, longest_element(n)).elements())
-        invert = phi_inverter(pi)
-        for w in perms:
-            u, v = invert(w)
+        for w, (u, v) in zip(perms, pairs):
             assert phi(u, v) == w
             assert u.word in below
             assert v.word in above
 
 
 @pytest.mark.parametrize("n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)])
-def test_inverter_gives_the_pair_of_the_pair_table(n):
+def test_inverter_gives_the_pair_of_the_pair_table(n, phi_inverses):
     # the pair table is phi read extensionally, one pair per image, from
     # the walks of [e, pi] and [pi, w0]; so the inverse round-trips and
     # lands in both intervals.  invert_phi(pi, w) is one call of
     # phi_inverter(pi) after a size check: at n = 6 it is compared on
     # every target of a seeded tenth of the separable words
-    perms = list(all_permutations(n))
-    separable = [pi for pi in perms if is_separable(pi)]
+    perms, rows = phi_inverses(n)
+    separable = [pi for pi, _ in rows]
     sample = set(separable if n < 6 else random.Random(n).sample(separable, len(separable) // 10))
-    for pi in separable:
+    for pi, pairs in rows:
         table = build_pair_table(pi)
         pair_of = dict(zip(table.images(), product(table.below, table.above)))
-        invert, sampled = phi_inverter(pi), pi in sample
-        for w in perms:
-            u, v = pair = invert(w)
+        sampled = pi in sample
+        for w, pair in zip(perms, pairs):
+            u, v = pair
             assert phi(u, v) == w
             assert (bytes(u.word), bytes(v.word)) == pair_of[bytes(w.word)]
             assert not sampled or invert_phi(pi, w) == pair

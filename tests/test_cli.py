@@ -10,9 +10,10 @@ import pytest
 from weakbruhat import bijection, cli, weak_order
 from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
-from weakbruhat.perm import all_permutations, identity, longest_element, parse_permutation
+from weakbruhat.perm import Permutation, all_permutations, identity, longest_element, parse_permutation
 from weakbruhat.poset import inversion_poset, le_gf
 from weakbruhat.qpoly import is_cyclotomic_product, q_factorial
+from weakbruhat.separable import gf_above_recursive, interval_sizes, qint_exponents
 from weakbruhat.weak_order import interval, rank_gf
 
 
@@ -92,6 +93,28 @@ def test_non_separable_analyze_keeps_the_polynomial_checks(capsys, monkeypatch):
     assert code == 0 and data["separable"] is False
     assert data["product_is_qfactorial"] is False
     assert sorted(calls) == ["is_cyclotomic_product", "q_factorial"]
+
+
+def test_separable_words_build_no_complement_word(capsys, monkeypatch):
+    # the upper side of a separable word comes from its own exponents, 1 - g_i
+    real = Permutation.complement
+
+    def refuse(self):
+        raise AssertionError(f"the complement of {self} was built")
+
+    monkeypatch.setattr(Permutation, "complement", refuse)
+    pi = Permutation((4, 1, 3, 2))
+    assert str(gf_above_recursive(pi)) == "1 + q + q^2"
+    assert interval_sizes(pi) == (8, 3)
+    assert qint_exponents(pi) == [1, 0, 1]
+    code, data, _ = run_json(capsys, "analyze", "4132")
+    assert code == 0 and data["gf_above"] == "1 + q + q^2" and data["product_is_qfactorial"]
+    assert run(capsys, "interval", "4132", "--side", "above", "--gf") == (0, "1 + q + q^2\n", "")
+    # a non-separable word still reads its upper side off the complement's le_gf
+    built = []
+    monkeypatch.setattr(Permutation, "complement", lambda self: built.append(str(self)) or real(self))
+    code, data, _ = run_json(capsys, "analyze", "2413")
+    assert code == 0 and data["gf_above"] == "1 + 2*q + q^2 + q^3" and built == ["2413"]
 
 
 def test_analyze_s4_rank_histogram(capsys):

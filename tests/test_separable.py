@@ -4,7 +4,9 @@ to hand-checked fixtures and to brute-force enumeration."""
 
 import gc
 import json
+import random
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
 import pytest
@@ -39,8 +41,26 @@ from weakbruhat.survey import schroder
 from weakbruhat.weak_order import interval, rank_gf
 
 
+@cache
 def separable_words(n):
-    return [p for p in all_permutations(n) if is_separable(p)]
+    # one walk of S_n per session, shared by every test that reads it
+    return tuple(p for p in all_permutations(n) if is_separable(p))
+
+
+def seeded_separable_words(count, seed, sizes=range(9, 41)):
+    """count random direct or skew sums of n letters, n drawn from sizes."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        if n == 1:
+            return (1,)
+        m = rng.randint(1, n - 1)
+        left, right = draw(m), draw(n - m)
+        if rng.random() < 0.5:
+            return left + tuple(a + m for a in right)
+        return tuple(a + n - m for a in left) + right
+
+    return [Permutation(draw(rng.choice(sizes))) for _ in range(count)]
 
 
 def avoids_3142_and_2413(pi):
@@ -105,6 +125,8 @@ def test_upper_routes_agree_beyond_exhaustive(word):
     assert gf_above_closed(separating_tree(pi, largest=True)) == above
     assert gf_above_from_complement(pi) == above
     assert gf_below_recursive(pi) * above == q_factorial(pi.size)
+    # linear extensions of the complement's inversion poset share no code with _merge
+    assert le_gf(inversion_poset(pi.complement()), force=True).reverse() == above
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -189,6 +211,24 @@ def test_qint_exponents_factor_the_block_recursion(n):
         assert all(sum(g[d - 2 :: d]) >= 0 for d in range(2, n + 1)), pi
         assert is_cyclotomic_product(below), pi
         assert prod(Fraction(i) ** e for i, e in enumerate(g, 2)) == interval_sizes(pi)[0], pi
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_complement_exponents_are_one_minus_the_word_s(n):
+    for pi in separable_words(n):
+        _check_the_derived_upper_side(pi)
+
+
+def test_complement_exponents_are_one_minus_the_word_s_beyond_exhaustive():
+    for pi in seeded_separable_words(500, seed=31):
+        _check_the_derived_upper_side(pi)
+
+
+def _check_the_derived_upper_side(pi):
+    # the upper side is derived as 1 - g(pi); the complement's routes run a
+    # real merge pass over the complement word
+    assert qint_exponents(pi.complement()) == [1 - e for e in qint_exponents(pi)], pi
+    assert gf_above_recursive(pi) == gf_below_recursive(pi.complement()), pi
 
 
 def test_qint_exponents_fixtures_and_rejection():

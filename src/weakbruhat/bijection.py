@@ -237,6 +237,4 @@ def invert_phi(pi: Permutation, w: Permutation):
     >>> phi(u, v)
     Permutation((2, 3, 1, 4))
     """
-    if pi.size != w.size:
-        raise ValueError(f"size mismatch: {pi.size} vs {w.size}")
     return phi_inverter(pi)(w)

@@ -31,7 +31,6 @@ from .separable import (
     gf_below_recursive,
     interval_sizes,
     is_separable,
-    qint_exponents,
     separating_tree,
     tree_dot,
     tree_json,
@@ -109,11 +108,20 @@ def _check_words(pi: Permutation, sep: bool, force: bool, *sides: str) -> None:
         _memory_note(words, exact=True)
 
 
-def _gf_note(pi: Permutation, sep: bool, force: bool) -> None:
-    # neither route enumerates S_n: the block recursion keeps a pair per
-    # block and n exponents, le_gf an entry per order filter (at most 2^n)
+def _filters(word) -> int:
+    # order filters of P(word), one per decreasing subsequence, the empty one too
+    ends = []  # ends[j]: those that end at word[j]
+    for b in word:
+        ends.append(1 + sum(c for a, c in zip(word, ends) if a > b))
+    return 1 + sum(ends)
+
+
+def _gf_note(pi: Permutation, sep: bool, force: bool, *sides: str) -> None:
+    # neither route enumerates S_n: the block recursion keeps n exponents, le_gf an entry
+    # per order filter of P(pi) below and of P(pi^c) above; -pi orders its letters as pi^c
     if force:
-        _memory_note(pi.size if sep else 2**pi.size)
+        words = {"below": pi.word, "above": [-a for a in pi.word]}
+        _memory_note(pi.size if sep else sum(_filters(words[side]) for side in sides))
 
 
 def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
@@ -131,12 +139,11 @@ def _gf(pi: Permutation, side: str, sep: bool, force: bool) -> IntPoly:
 def _cmd_analyze(args) -> int:
     pi = _parse_perm(args.perm)
     sep = is_separable(pi)
-    _gf_note(pi, sep, args.force)
+    _gf_note(pi, sep, args.force, "below", "above")
     below = _gf(pi, "below", sep, args.force)
     above = _gf(pi, "above", sep, args.force)
-    if sep:  # the main theorem, and cyclotomy from the exponents (see qint_exponents)
-        g, product = qint_exponents(pi), True
-        cyclotomic = all(sum(g[d - 2 :: d]) >= 0 for d in range(2, pi.size + 1))
+    if sep:  # the main theorem; below = prod Phi_d^(e_d), e_d >= 0 as qint_product divided
+        product = cyclotomic = True
     else:
         product, cyclotomic = below * above == q_factorial(pi.size), is_cyclotomic_product(below)
     data = {
@@ -177,7 +184,7 @@ def _cmd_interval(args) -> int:
         bottom, top = pi, longest_element(pi.size)
     if args.gf or not (args.dot or args.json):
         sep = is_separable(pi)
-        _gf_note(pi, sep, args.force)
+        _gf_note(pi, sep, args.force, args.side)
         gf = _gf(pi, args.side, sep, args.force)
         if args.gf:
             text = str(gf)

@@ -10,8 +10,8 @@ the divisibility test used elsewhere in the package.
 Products go through packed integers (Kronecker substitution): at
 q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
-slots.  le_gf, and qint_product's prod [i]^(e_i) (the block recursion,
-q_factorial, q_binomial), compute on such ints throughout.
+slots.  le_gf, and qint_product's prod [i]^(e_i) over a list e_2..e_n
+(the block recursion, q_factorial, q_binomial), compute on such ints.
 
 The cyclotomic-product test packs each polynomial once, at its own
 slot width: whole bytes with 16 bits of room above the largest
@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import NonzeroRemainder
 
@@ -271,25 +271,21 @@ def _pairwise_prod(values: list[int]) -> int:
     return prod(values)
 
 
-def qint_product(exponents: Mapping[int, int]) -> IntPoly:
-    """prod [i]^(e_i) over the items of exponents, i >= 1, a polynomial with
-    nonnegative coefficients as a generating function is: packed powers of [i]
-    multiplied (pairwise past 8), divided once by the negative ones, unpacked.
-    A coefficient of a partial product or of the result is at most prod i^e_i
-    over e_i > 0, the numerator at q = 1, so slots one bit wider, and at least
-    pack_width of the largest i, never spill; a remainder raises NonzeroRemainder.
+def qint_product(exponents: list[int]) -> IntPoly:
+    """prod [i]^(e_i) with e_i = exponents[i - 2], a polynomial with nonnegative
+    coefficients as a generating function is: packed powers of [i] multiplied
+    (pairwise past 8), divided once by the negative ones, unpacked.  A coefficient
+    of a partial product or of the result is at most prod i^e_i over e_i > 0, the
+    numerator at q = 1, so slots one bit wider, and at least pack_width of the
+    largest i, never spill; a remainder raises NonzeroRemainder.
 
-    >>> print(qint_product({2: -1, 4: 1}))  # [4] / [2]
+    >>> print(qint_product([-1, 0, 1]))  # [4] / [2]
     1 + q^2
     """
-    top = prod([i**e for i, e in exponents.items() if e > 0])  # the numerator at q = 1
-    width = max(pack_width(max(exponents, default=0)), top.bit_length() + 1)
-    up, down = [], []
-    for i, e in exponents.items():
-        if e > 0:
-            up.append(_packed_qint(i, width) ** e)
-        elif e < 0:
-            down.append(_packed_qint(i, width) ** -e)
+    top = prod([i**e for i, e in enumerate(exponents, 2) if e > 0])  # the numerator at q = 1
+    width = max(pack_width(len(exponents) + 1), top.bit_length() + 1)
+    up = [_packed_qint(i, width) ** e for i, e in enumerate(exponents, 2) if e > 0]
+    down = [_packed_qint(i, width) ** -e for i, e in enumerate(exponents, 2) if e < 0]
     value, rem = divmod(_pairwise_prod(up), _pairwise_prod(down))
     if rem:
         raise NonzeroRemainder("remainder is not zero")
@@ -307,7 +303,7 @@ def q_factorial(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError(f"q_factorial of negative {n}")
-    return qint_product(dict.fromkeys(range(2, n + 1), 1))
+    return qint_product([1] * (n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +319,7 @@ def q_binomial(n: int, m: int) -> IntPoly:
     """
     if not 0 <= m <= n:
         raise ValueError(f"q_binomial requires 0 <= m <= n, got n={n} m={m}")
-    return qint_product({i: 1 - (i <= m) - (i <= n - m) for i in range(2, n + 1)})
+    return qint_product([1 - (i <= m) - (i <= n - m) for i in range(2, n + 1)])
 
 
 @lru_cache(maxsize=None)

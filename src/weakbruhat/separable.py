@@ -6,10 +6,10 @@ at every level some prefix carries either the lowest or the highest
 values of its block, a positive split (direct sum) or a negative one
 (skew sum).  Nothing here recurses on the word.  One pass, _merge, reads
 it left to right and merges abutting value blocks on a stack; its skew
-sums give the block recursion as gf_below = prod [i]^(g_i)
-(qint_exponents), which qpoly.qint_product expands and interval_sizes
-takes at q = 1.  separating_tree runs the same reduction right to left,
-keeping each merge as an Internal node and each letter as an int leaf.
+sums give the block recursion as gf_below = prod [i]^(g_i), one list
+g_2..g_n (qint_exponents) that qpoly.qint_product expands and
+interval_sizes takes at q = 1.  separating_tree runs the same reduction
+right to left, keeping each merge as an Internal node, each letter a leaf.
 The closed formulas read a q-factorial off each run of equal sign in
 the tree, and verify and the tests check them against the recursion.
 
@@ -18,11 +18,13 @@ would reduce through the same blocks with direct and skew sums swapped.
 So each merge of k = m + r letters is a skew sum in exactly one of pi
 and pi^c, and the binomials [k]! / ([m]! [r]!) of all merges telescope
 from [1]! = 1 to [n]!: g_i(pi^c) = 1 - g_i(pi), no second pass is run,
-and the main theorem, gf_below * gf_above = [n]!, holds by construction.
+and the main theorem, gf_below * gf_above = [n]!, holds by construction;
+an expansion that divided is prod Phi_d^(e_d), e_d >= 0, so cyclotomic.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial, prod
 
 from .errors import Not231Avoiding, NotSeparable
@@ -61,12 +63,9 @@ def _merge(word):
     return deltas if len(stack) == 1 else None
 
 
-def _powers(deltas: list[int]) -> dict[int, int]:
-    # {i: g_i}, i = n down to 2, from the powers deltas[j] of [j]!: [i] divides [j]! for j >= i
-    g, total = {}, 0
-    for i in range(len(deltas) - 1, 1, -1):
-        g[i] = total = total + deltas[i]
-    return g
+def _powers(deltas: list[int]) -> list[int]:
+    # g_2..g_n, the suffix sums of the powers deltas[j] of [j]!: [i] divides [j]! for j >= i
+    return list(accumulate(deltas[:1:-1]))[::-1]
 
 
 def is_separable(pi: Permutation) -> bool:
@@ -191,7 +190,17 @@ def gf_above_closed(root: Internal | int) -> IntPoly:
     return _closed_formula(root, POSITIVE)
 
 
-def _exponents(pi: Permutation) -> dict[int, int]:
+def qint_exponents(pi: Permutation) -> list[int]:
+    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off _merge: the one
+    list both recursions and interval_sizes read.  Unique, as [i] = prod of Phi_d over
+    d | i, d > 1, is triangular in the Phi_d; the exponent of Phi_d, e_d = sum of g_i
+    over d | i, is >= 0, as the quotient is a polynomial.  [i] is palindromic, so
+    gf_above(pi) = prod [i]^(g_i(pi^c)), and g(pi) + g(pi^c) = 1: each merge is a skew
+    sum in one of the two words, and all merges telescope to [n]!.  Raises NotSeparable.
+
+    >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
+    [1, 0, 1]
+    """
     deltas = _merge(pi.word)
     if deltas is None:
         raise NotSeparable(f"{pi} is not separable")
@@ -202,7 +211,7 @@ def gf_below_recursive(pi: Permutation) -> IntPoly:
     """Rank generating function of the lower interval by the block recursion,
     a product of Gaussian binomials that _merge reads as prod [i]^(g_i), and
     qint_product expands.  Raises NotSeparable if more blocks are left."""
-    return qint_product(_exponents(pi))
+    return qint_product(qint_exponents(pi))
 
 
 def gf_above_recursive(pi: Permutation) -> IntPoly:
@@ -211,7 +220,7 @@ def gf_above_recursive(pi: Permutation) -> IntPoly:
     is its own reverse.  The binomials of pi's merges, each a skew sum in pi
     or in pi^c, telescope to [n]!, so g_i(pi^c) = 1 - g_i(pi) and no
     complement word is built.  Raises NotSeparable."""
-    return qint_product({i: 1 - e for i, e in _exponents(pi).items()})
+    return qint_product([1 - e for e in qint_exponents(pi)])
 
 
 def interval_sizes(pi: Permutation) -> tuple[int, int]:
@@ -221,23 +230,9 @@ def interval_sizes(pi: Permutation) -> tuple[int, int]:
     >>> interval_sizes(Permutation((4, 1, 3, 2)))
     (8, 3)
     """
-    g = _exponents(pi)
-    below = prod(i**e for i, e in g.items() if e > 0) // prod(i**-e for i, e in g.items() if e < 0)
+    g = list(enumerate(qint_exponents(pi), 2))
+    below = prod(i**e for i, e in g if e > 0) // prod(i**-e for i, e in g if e < 0)
     return below, factorial(pi.size) // below
-
-
-def qint_exponents(pi: Permutation) -> list[int]:
-    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off _merge.  They
-    are unique, as [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d;
-    the exponent of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a
-    polynomial.  [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and
-    g(pi) + g(pi^c) = 1: each merge is a skew sum in one of the two words, and the
-    binomials of all merges telescope to [n]!.  Raises NotSeparable.
-
-    >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
-    [1, 0, 1]
-    """
-    return list(_exponents(pi).values())[::-1]
 
 
 def gf_below_231(pi: Permutation) -> IntPoly:

@@ -1,10 +1,14 @@
-"""Fixtures shared across test modules."""
+"""Fixtures and helpers shared across test modules."""
+
+import random
+from functools import cache
 
 import pytest
 
 from weakbruhat.bijection import phi_inverter
-from weakbruhat.perm import all_permutations
+from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.separable import is_separable
+from weakbruhat.survey import iter_records
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +30,26 @@ def phi_inverses():
         return walks[n]
 
     return walk
+
+
+@pytest.fixture(scope="session")
+def survey_records():
+    """n -> list(iter_records(n)), computed once per n and session.  It
+    asserts nothing: the tests that read it do."""
+    return cache(lambda n: list(iter_records(n)))
+
+
+def seeded_separable_words(count, seed, sizes=range(9, 41)):
+    """count random direct or skew sums of n letters, n drawn from sizes."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        if n == 1:
+            return (1,)
+        m = rng.randint(1, n - 1)
+        left, right = draw(m), draw(n - m)
+        if rng.random() < 0.5:
+            return left + tuple(a + m for a in right)
+        return tuple(a + n - m for a in left) + right
+
+    return [Permutation(draw(rng.choice(sizes))) for _ in range(count)]

@@ -32,7 +32,7 @@ from weakbruhat.separable import (
     is_separable,
     separating_tree,
 )
-from weakbruhat.survey import iter_records, scan, schroder
+from weakbruhat.survey import scan, schroder
 from weakbruhat.verify import run_suite
 from weakbruhat.weak_order import interval, rank_gf
 
@@ -228,11 +228,11 @@ def test_criterion_10a_symmetry_unimodality():
     "computation routes, and a value of 13 at q = 1 is unreachable by cyclotomic "
     "factors within degree 6",
 )
-def test_criterion_10b_rank_symmetric_cyclotomic():
+def test_criterion_10b_rank_symmetric_cyclotomic(survey_records):
     witnesses = []
     symmetric = 0
     for n in range(1, 8):
-        for record in iter_records(n):
+        for record in survey_records(n):
             if record.rank_symmetric:
                 symmetric += 1
                 if not record.cyclotomic_product:
@@ -254,10 +254,10 @@ def test_criterion_10b_rank_symmetric_cyclotomic():
     reason="the size-8 long mode finds 677 further rank-symmetric words that "
     "are not cyclotomic products",
 )
-def test_criterion_10b_long_mode_at_8():
+def test_criterion_10b_long_mode_at_8(survey_records):
     witnesses = []
     symmetric = 0
-    for record in iter_records(8):
+    for record in survey_records(8):
         if record.rank_symmetric:
             symmetric += 1
             if not record.cyclotomic_product:

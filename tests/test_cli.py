@@ -7,14 +7,16 @@ from math import factorial
 
 import pytest
 
-from weakbruhat import bijection, cli, weak_order
+from weakbruhat import bijection, cli, separable, weak_order
 from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element, parse_permutation
 from weakbruhat.poset import inversion_poset, le_gf
 from weakbruhat.qpoly import is_cyclotomic_product, q_factorial
-from weakbruhat.separable import gf_above_recursive, interval_sizes, qint_exponents
+from weakbruhat.separable import gf_above_recursive, gf_below_recursive, interval_sizes, qint_exponents
 from weakbruhat.weak_order import interval, rank_gf
+
+from conftest import seeded_separable_words
 
 
 def run(capsys, *argv):
@@ -115,6 +117,27 @@ def test_separable_words_build_no_complement_word(capsys, monkeypatch):
     monkeypatch.setattr(Permutation, "complement", lambda self: built.append(str(self)) or real(self))
     code, data, _ = run_json(capsys, "analyze", "2413")
     assert code == 0 and data["gf_above"] == "1 + 2*q + q^2 + q^3" and built == ["2413"]
+
+
+def test_analyze_flags_match_the_polynomial_routes_beyond_exhaustive(capsys):
+    # on a separable word both flags are constants of the theorems; the
+    # product of the polynomials and the cyclotomic test must agree
+    for pi in seeded_separable_words(200, seed=32, sizes=range(9, 31)):
+        code, data, _ = run_json(capsys, "analyze", ",".join(map(str, pi.word)))
+        below, above = gf_below_recursive(pi), gf_above_recursive(pi)
+        assert code == 0 and data["gf_below"] == str(below) and data["gf_above"] == str(above)
+        assert data["product_is_qfactorial"] == (below * above == q_factorial(pi.size)), pi
+        assert data["cyclotomic_product"] == is_cyclotomic_product(below), pi
+
+
+def test_analyze_of_a_separable_word_merges_three_times(capsys, monkeypatch):
+    # is_separable and the two recursions; the flags read no exponents
+    calls = []
+    real = separable._merge
+    monkeypatch.setattr(separable, "_merge", lambda word: calls.append(word) or real(word))
+    code, data, _ = run_json(capsys, "analyze", "4132")
+    assert code == 0 and data["product_is_qfactorial"] and data["cyclotomic_product"]
+    assert len(calls) == 3
 
 
 def test_analyze_s4_rank_histogram(capsys):
@@ -650,7 +673,35 @@ def test_force_memory_note_follows_the_route(capsys):
     assert note_mb("bijection", sep, "--invert", sep) == 1
     assert note_mb("analyze", sep) == 1
     assert note_mb("interval", sep, "--gf") == 1
-    assert note_mb("interval", non_sep, "--gf") == round(2**24 * 150 / 1e6)
+    # P(non_sep) has 28 order filters, so le_gf at most 28 entries: the empty,
+    # 24 single and 3 two-letter decreasing subsequences (21, 41, 43)
+    assert cli._filters(parse_permutation(non_sep).word) == 28
+    assert note_mb("interval", non_sep, "--gf") == 1
     # the check and the table pair up all of S_8
     assert note_mb("bijection", "12345678") == note_mb("bijection", "12345678", "--table")
     assert note_mb("bijection", "12345678") == round(factorial(8) * 150 / 1e6) == 6
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_filters_are_the_decreasing_subsequences(n):
+    # brute-force up-sets of P(pi) and P(pi^c) against the counts _gf_note sums
+    def up_sets(p):
+        covers = p.covers()
+        return sum(all(not mask >> a - 1 & 1 or mask >> b - 1 & 1 for a, b in covers) for mask in range(1 << n))
+
+    for pi in all_permutations(n):
+        assert cli._filters(pi.word) == up_sets(inversion_poset(pi)), pi
+        assert cli._filters([-a for a in pi.word]) == up_sets(inversion_poset(pi.complement())), pi
+
+
+def test_force_note_sums_the_sides_the_command_evaluates(capsys):
+    # 2,4,1,3,5,...,1100: 1 + 1,100 + 3 filters below; above, the 8 increasing
+    # subsequences of 2413 each extended by any subset of the 1,096 letters after
+    pi = parse_permutation(",".join(map(str, (2, 4, 1, 3, *range(5, 1101)))))
+    above = 8 * 2**1096
+    for sides, objects in ((("below",), 1104), (("above",), above), (("below", "above"), 1104 + above)):
+        cli._gf_note(pi, False, True, *sides)
+        mb = max(1, round(objects * 150, -6) // 10**6)
+        assert capsys.readouterr().err == f"guard override active; memory estimate ~{mb} MB\n"
+    cli._gf_note(pi, False, False, "below", "above")
+    assert capsys.readouterr().err == ""

@@ -4,7 +4,6 @@ to hand-checked fixtures and to brute-force enumeration."""
 
 import gc
 import json
-import random
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -40,27 +39,13 @@ from weakbruhat.separable import (
 from weakbruhat.survey import schroder
 from weakbruhat.weak_order import interval, rank_gf
 
+from conftest import seeded_separable_words
+
 
 @cache
 def separable_words(n):
     # one walk of S_n per session, shared by every test that reads it
     return tuple(p for p in all_permutations(n) if is_separable(p))
-
-
-def seeded_separable_words(count, seed, sizes=range(9, 41)):
-    """count random direct or skew sums of n letters, n drawn from sizes."""
-    rng = random.Random(seed)
-
-    def draw(n):
-        if n == 1:
-            return (1,)
-        m = rng.randint(1, n - 1)
-        left, right = draw(m), draw(n - m)
-        if rng.random() < 0.5:
-            return left + tuple(a + m for a in right)
-        return tuple(a + n - m for a in left) + right
-
-    return [Permutation(draw(rng.choice(sizes))) for _ in range(count)]
 
 
 def avoids_3142_and_2413(pi):

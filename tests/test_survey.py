@@ -49,9 +49,9 @@ def test_iter_records_n4():
 
 
 @pytest.mark.parametrize("n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
-def test_records_match_interval_bfs(n):
+def test_records_match_interval_bfs(n, survey_records):
     # the survey's route (recursion or linear extensions) against BFS
-    for rec in iter_records(n):
+    for rec in survey_records(n):
         pi = Permutation(tuple(int(c) for c in rec.word))
         assert rec.gf_below == rank_gf(interval(identity(n), pi)), rec.word
 

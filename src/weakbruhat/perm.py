@@ -23,7 +23,7 @@ _SORTED_WORDS: dict[int, list[int]] = {}  # n -> [1, ..., n], never mutated
 
 
 class Permutation:
-    """Immutable permutation of {1, ..., n} stored as its word.
+    """Immutable permutation of {1, ..., n} stored as its word; it keeps its length and merge pass.
 
     >>> p = Permutation((4, 1, 3, 2))
     >>> p.length
@@ -34,7 +34,9 @@ class Permutation:
     2431
     """
 
-    __slots__ = ("word", "_length")
+    # _merged: separable._merge's delta list for a separable word, False
+    # for any other word, None until asked
+    __slots__ = ("word", "_length", "_merged")
 
     def __init__(self, word: Iterable[int]):
         w = tuple(word)
@@ -51,6 +53,7 @@ class Permutation:
             raise ValueError(f"not a rearrangement of 1..{n}: {w}")
         self.word = w
         self._length: int | None = None
+        self._merged: list[int] | bool | None = None
 
     @property
     def size(self) -> int:
@@ -179,7 +182,7 @@ def _trusted(word: tuple[int, ...]) -> Permutation:
     Permutation is rebound to a plain callable."""
     p = object.__new__(Permutation)
     p.word = word
-    p._length = None
+    p._length = p._merged = None
     return p
 
 

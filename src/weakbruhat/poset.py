@@ -226,6 +226,7 @@ def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> in
     for m in gt:
         above |= m
     acc = 0
+    sub_memo = shared if n - 1 <= _SHARED_MAX else local
     t = ((1 << n) - 1) & ~above
     while t:
         b = t & -t
@@ -234,7 +235,10 @@ def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> in
         low = b - 1
         rest = gt[:i] + gt[i + 1 :]
         sub = tuple([(m & low) | (m >> (i + 1) << i) for m in rest])
-        acc += _le_packed(sub, width, local, shared) << (width * i)
+        got = sub_memo.get(sub)  # a hit costs no call
+        if got is None:
+            got = _le_packed(sub, width, local, shared)
+        acc += got << (width * i)
     memo[gt] = acc
     return acc
 

@@ -5,11 +5,13 @@ A permutation is separable when it decomposes recursively into blocks:
 at every level some prefix carries either the lowest or the highest
 values of its block, a positive split (direct sum) or a negative one
 (skew sum).  Nothing here recurses on the word.  One pass, _merge, reads
-it left to right and merges abutting value blocks on a stack; its skew
-sums give the block recursion as gf_below = prod [i]^(g_i), one list
-g_2..g_n (qint_exponents) that qpoly.qint_product expands and
-interval_sizes takes at q = 1.  separating_tree runs the same reduction
-right to left, keeping each merge as an Internal node, each letter a leaf.
+it left to right and merges abutting value blocks on a stack, once per
+Permutation, which keeps the result for is_separable and the recursions
+(_merged).  Its skew sums give the block recursion as gf_below =
+prod [i]^(g_i), one list g_2..g_n (qint_exponents) that
+qpoly.qint_product expands and interval_sizes takes at q = 1.
+separating_tree runs the same reduction right to left, keeping each
+merge as an Internal node, each letter a leaf.
 The closed formulas read a q-factorial off each run of equal sign in
 the tree, and verify and the tests check them against the recursion.
 
@@ -68,15 +70,23 @@ def _powers(deltas: list[int]) -> list[int]:
     return list(accumulate(deltas[:1:-1]))[::-1]
 
 
+def _merged(pi: Permutation) -> list[int] | bool:
+    """_merge's deltas for pi, or False if pi is not separable, kept on pi."""
+    if pi._merged is None:
+        deltas = _merge(pi.word)
+        pi._merged = False if deltas is None else deltas
+    return pi._merged
+
+
 def is_separable(pi: Permutation) -> bool:
-    """True when pi merges into one block.
+    """True when pi merges into one block, by _merged's one pass.
 
     >>> is_separable(Permutation((4, 2, 3, 1)))
     True
     >>> is_separable(Permutation((2, 4, 1, 3)))
     False
     """
-    return _merge(pi.word) is not None
+    return _merged(pi) is not False
 
 
 class Internal:
@@ -191,18 +201,19 @@ def gf_above_closed(root: Internal | int) -> IntPoly:
 
 
 def qint_exponents(pi: Permutation) -> list[int]:
-    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off _merge: the one
-    list both recursions and interval_sizes read.  Unique, as [i] = prod of Phi_d over
-    d | i, d > 1, is triangular in the Phi_d; the exponent of Phi_d, e_d = sum of g_i
-    over d | i, is >= 0, as the quotient is a polynomial.  [i] is palindromic, so
-    gf_above(pi) = prod [i]^(g_i(pi^c)), and g(pi) + g(pi^c) = 1: each merge is a skew
-    sum in one of the two words, and all merges telescope to [n]!.  Raises NotSeparable.
+    """g_2..g_n with gf_below_recursive(pi) = prod [i]^(g_i), read off pi's kept merge
+    pass into a new list each call: the one list both recursions and interval_sizes
+    read.  Unique, as [i] = prod of Phi_d over d | i, d > 1, is triangular in the Phi_d;
+    the exponent of Phi_d, e_d = sum of g_i over d | i, is >= 0, as the quotient is a
+    polynomial.  [i] is palindromic, so gf_above(pi) = prod [i]^(g_i(pi^c)), and
+    g(pi) + g(pi^c) = 1: each merge is a skew sum in one of the two words, and all
+    merges telescope to [n]!.  Raises NotSeparable.
 
     >>> qint_exponents(Permutation((4, 1, 3, 2)))  # [2] [4]
     [1, 0, 1]
     """
-    deltas = _merge(pi.word)
-    if deltas is None:
+    deltas = _merged(pi)
+    if deltas is False:
         raise NotSeparable(f"{pi} is not separable")
     return _powers(deltas)
 

@@ -3,7 +3,8 @@ function of its lower interval and four derived predicates (separable,
 rank-symmetric, unimodal, cyclotomic product, divisor of [n]!).
 
 Separable permutations go through the block recursion, read off
-is_separable's merge pass; non-separable ones go through linear extensions of the inversion poset.
+is_separable's merge pass, which each word's Permutation keeps;
+non-separable ones go through linear extensions of the inversion poset.
 That is the only record route; interval BFS stays as the cross-check in
 `verify ff` and the tests.  Every scan, with or without an output file,
 consumes one chunk stream (serial at one worker, a fork pool

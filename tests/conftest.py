@@ -5,6 +5,7 @@ from functools import cache
 
 import pytest
 
+from weakbruhat import separable
 from weakbruhat.bijection import phi_inverter
 from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.separable import is_separable
@@ -37,6 +38,15 @@ def survey_records():
     """n -> list(iter_records(n)), computed once per n and session.  It
     asserts nothing: the tests that read it do."""
     return cache(lambda n: list(iter_records(n)))
+
+
+@pytest.fixture
+def merged_words(monkeypatch):
+    """The words separable._merge reads, in order."""
+    seen = []
+    real = separable._merge
+    monkeypatch.setattr(separable, "_merge", lambda word: seen.append(word) or real(word))
+    return seen
 
 
 def seeded_separable_words(count, seed, sizes=range(9, 41)):

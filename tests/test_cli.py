@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from weakbruhat import bijection, cli, separable, weak_order
+from weakbruhat import bijection, cli, weak_order
 from weakbruhat.bijection import build_pair_table
 from weakbruhat.cli import main
 from weakbruhat.perm import Permutation, all_permutations, identity, longest_element, parse_permutation
@@ -130,14 +130,20 @@ def test_analyze_flags_match_the_polynomial_routes_beyond_exhaustive(capsys):
         assert data["cyclotomic_product"] == is_cyclotomic_product(below), pi
 
 
-def test_analyze_of_a_separable_word_merges_three_times(capsys, monkeypatch):
-    # is_separable and the two recursions; the flags read no exponents
-    calls = []
-    real = separable._merge
-    monkeypatch.setattr(separable, "_merge", lambda word: calls.append(word) or real(word))
+def test_analyze_of_a_separable_word_merges_once(capsys, merged_words):
+    # is_separable and the two recursions share the Permutation's one pass
     code, data, _ = run_json(capsys, "analyze", "4132")
     assert code == 0 and data["product_is_qfactorial"] and data["cyclotomic_product"]
-    assert len(calls) == 3
+    assert merged_words == [(4, 1, 3, 2)]
+
+
+def test_interval_gf_and_bijection_merge_once(capsys, merged_words):
+    assert run(capsys, "interval", "4132", "--gf") == (0, "1 + 2*q + 2*q^2 + 2*q^3 + q^4\n", "")
+    assert merged_words == [(4, 1, 3, 2)]
+    merged_words.clear()
+    code, data, _ = run_json(capsys, "bijection", "4132")
+    assert code == 0 and data["is_bijection"] is True
+    assert merged_words == [(4, 1, 3, 2)]
 
 
 def test_analyze_s4_rank_histogram(capsys):

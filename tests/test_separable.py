@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from weakbruhat import separable
 from weakbruhat.errors import Not231Avoiding, NotSeparable
-from weakbruhat.perm import Permutation, all_permutations, identity, longest_element
+from weakbruhat.perm import Permutation, all_permutations, compose, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
 from weakbruhat.qpoly import ONE, IntPoly, is_cyclotomic_product, q_factorial, q_int
 from weakbruhat.separable import (
@@ -199,21 +199,80 @@ def test_qint_exponents_factor_the_block_recursion(n):
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
-def test_complement_exponents_are_one_minus_the_word_s(n):
+def test_complement_exponents_are_one_minus_the_word_s(n, merged_words):
     for pi in separable_words(n):
-        _check_the_derived_upper_side(pi)
+        _check_the_derived_upper_side(pi, merged_words)
 
 
-def test_complement_exponents_are_one_minus_the_word_s_beyond_exhaustive():
+def test_complement_exponents_are_one_minus_the_word_s_beyond_exhaustive(merged_words):
     for pi in seeded_separable_words(500, seed=31):
-        _check_the_derived_upper_side(pi)
+        _check_the_derived_upper_side(pi, merged_words)
 
 
-def _check_the_derived_upper_side(pi):
+def _check_the_derived_upper_side(pi, merged_words):
     # the upper side is derived as 1 - g(pi); the complement's routes run a
-    # real merge pass over the complement word
+    # real merge pass over the complement word, one per new Permutation
+    merged_words.clear()
     assert qint_exponents(pi.complement()) == [1 - e for e in qint_exponents(pi)], pi
     assert gf_above_recursive(pi) == gf_below_recursive(pi.complement()), pi
+    assert merged_words.count(pi.complement().word) >= 2, pi
+
+
+def _exponents_or_none(pi):
+    try:
+        return qint_exponents(pi)
+    except NotSeparable:
+        return None
+
+
+def _check_the_kept_pass(word):
+    # is_separable and qint_exponents against a fresh pass over the word,
+    # on a new Permutation and on one already asked, in either order
+    deltas = separable._merge(word)
+    want = None if deltas is None else separable._powers(deltas)
+    for exponents_first in (False, True):
+        pi = Permutation(word)
+        for _ in range(2):
+            if exponents_first:
+                assert _exponents_or_none(pi) == want, pi
+            assert is_separable(pi) == (want is not None), pi
+            got = _exponents_or_none(pi)
+            assert got == want, pi
+            if got is not None:
+                # the caller's list is its own: the kept deltas stay as they were
+                got[:] = [7] * (len(got) + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_kept_merge_pass_changes_no_answer(n):
+    for pi in all_permutations(n):
+        _check_the_kept_pass(pi.word)
+
+
+def test_the_kept_merge_pass_changes_no_answer_beyond_exhaustive():
+    for pi in seeded_separable_words(200, seed=33):
+        _check_the_kept_pass(pi.word)
+
+
+def test_a_non_separable_word_keeps_raising(merged_words):
+    pi = Permutation((2, 4, 1, 3))
+    assert not is_separable(pi)
+    for route in (qint_exponents, qint_exponents, gf_below_recursive, gf_above_recursive, interval_sizes):
+        with pytest.raises(NotSeparable, match="2413 is not separable"):
+            route(pi)
+    assert not is_separable(pi)
+    assert merged_words == [(2, 4, 1, 3)]
+
+
+def test_derived_permutations_start_without_a_merge_pass(merged_words):
+    # 4132 is separable and 2413 is not; the words built from them
+    # (1423, 2431, 1243, 3214, 3142, 3142) each run a pass of their own
+    pi, tau = Permutation((4, 1, 3, 2)), Permutation((2, 4, 1, 3))
+    assert is_separable(pi) and not is_separable(tau)
+    derived = (pi.complement(), pi.inverse(), compose(pi, tau), compose(tau, pi), tau.complement(), tau.inverse())
+    assert all(d._merged is None for d in derived)
+    assert [is_separable(d) for d in derived] == [avoids_3142_and_2413(d) for d in derived]
+    assert merged_words == [pi.word, tau.word, *(d.word for d in derived)]
 
 
 def test_qint_exponents_fixtures_and_rejection():

@@ -27,6 +27,13 @@ def test_schroder_values():
     assert [schroder(k) for k in range(8)] == [1, 2, 6, 22, 90, 394, 1806, 8558]
 
 
+def test_scan_merges_each_word_once(merged_words):
+    # the two is_separable calls and the recursion share the word's one pass
+    report = scan(6, workers=1)
+    assert report.count_separable == schroder(5)
+    assert len(merged_words) == 720 and len(set(merged_words)) == 720
+
+
 def test_iter_records_n4():
     records = list(iter_records(4))
     assert len(records) == 24

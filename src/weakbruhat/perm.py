@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 _INT_ONLY = {int}
 _SORTED_WORDS: dict[int, list[int]] = {}  # n -> [1, ..., n], never mutated
+_DIGITS = b"0123456789".ljust(256, b"\xff")  # letter -> its digit; 0xFF fails to decode
 
 
 class Permutation:
@@ -165,13 +166,16 @@ def positions(word: tuple[int, ...]) -> list[int]:
     return pos
 
 
-def word_text(word: tuple[int, ...]) -> str:
-    """Digits up to 9 letters, comma-separated beyond.
+def word_text(word: tuple[int, ...] | bytes) -> str:
+    """Digits up to 9 letters, comma-separated beyond.  A word of up to
+    9 letters must have letters 0..9; any other letter raises ValueError.
 
     >>> word_text((4, 1, 3, 2)), word_text(tuple(range(10, 0, -1)))
     ('4132', '10,9,8,7,6,5,4,3,2,1')
     """
-    return ("" if len(word) <= 9 else ",").join(map(str, word))
+    if len(word) <= 9:
+        return bytes(word).translate(_DIGITS).decode("ascii")
+    return ",".join(map(str, word))
 
 
 def _trusted(word: tuple[int, ...]) -> Permutation:

@@ -19,6 +19,8 @@ statistics and linear extensions of posets", 1991).  Deleting the
 minimal letter e from an inversion poset P(pi) leaves the inversion
 poset of pi with e deleted, renumbered, so the words of S_n share their
 sub-posets; the small ones are kept in one table that all calls share.
+Posets of at most 8 points recurse on byte rows, one mask per byte, and
+delete an element with one bytes.translate; larger ones on tuple rows.
 The generating functions are packed integers, one slot per coefficient,
 through qpoly's pack_width and IntPoly.from_packed.
 """
@@ -194,21 +196,24 @@ def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
 
 
 # Packed generating functions of the sub-posets with at most
-# _SHARED_MAX elements, keyed on their closed masks and shared by every
-# le_gf call in the process.  Their slots are _SHARED_WIDTH bits wide,
-# so calls on posets with pack_width(n) > _SHARED_WIDTH (n > 20) leave
-# the table alone.  Sub-posets of size one or less are not stored, so
-# filled by inversion posets alone (the survey, the CLI) it holds at most
-# _SHARED_BOUND = 2! + 3! + ... + 7! = 5,912 entries.  Other posets could
-# grow it toward the millions of posets on at most 7 points, so le_gf
-# clears it before a call that finds it past that bound.
+# _SHARED_MAX elements, keyed on their closed masks as bytes (a call's
+# own table keys up to 8 masks as bytes, more as tuples) and shared by
+# every le_gf call in the process.  Their slots are _SHARED_WIDTH bits
+# wide, so calls on posets with pack_width(n) > _SHARED_WIDTH (n > 20)
+# leave the table alone.  Sub-posets of size one or less are not stored,
+# so filled by inversion posets alone (the survey, the CLI) it holds at
+# most _SHARED_BOUND = 2! + 3! + ... + 7! = 5,912 entries.  Other posets
+# could grow it toward the millions of posets on at most 7 points, so
+# le_gf clears it before a call that finds it past that bound.
 _SHARED_MAX = 7
 _SHARED_WIDTH = pack_width(_SHARED_MAX)
 _SHARED_BOUND = sum(factorial(k) for k in range(2, _SHARED_MAX + 1))
-_shared_le: dict[tuple[int, ...], int] = {}
+_shared_le: dict[bytes, int] = {}
+# _DEL[i] maps a byte mask to that mask with bit i deleted, higher bits shifted down
+_DEL = tuple(bytes([(m & (1 << i) - 1) | (m >> i + 1 << i) for m in range(256)]) for i in range(8))
 
 
-def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> int:
+def _le_packed(gt: bytes | tuple[int, ...], width: int, local: dict, shared: dict) -> int:
     # le(P) = sum over minimal e of q^(e-1) * le(std(P - e)): placing
     # the minimal element e first inverts it with the e-1 smaller
     # elements still unplaced.  A minimal element has no bit in any
@@ -232,9 +237,14 @@ def _le_packed(gt: tuple[int, ...], width: int, local: dict, shared: dict) -> in
         b = t & -t
         t ^= b
         i = b.bit_length() - 1
-        low = b - 1
         rest = gt[:i] + gt[i + 1 :]
-        sub = tuple([(m & low) | (m >> (i + 1) << i) for m in rest])
+        if type(rest) is bytes:
+            sub = rest.translate(_DEL[i])
+        else:
+            low = b - 1
+            sub = tuple([(m & low) | (m >> (i + 1) << i) for m in rest])
+            if n == 9:
+                sub = bytes(sub)
         got = sub_memo.get(sub)  # a hit costs no call
         if got is None:
             got = _le_packed(sub, width, local, shared)
@@ -263,9 +273,10 @@ def le_gf(p: Poset, force: bool = False) -> IntPoly:
     if len(_shared_le) > _SHARED_BOUND:
         _shared_le.clear()
     width = pack_width(p.size)
-    local: dict[tuple[int, ...], int] = {}
+    local: dict[bytes | tuple[int, ...], int] = {}
     shared = _shared_le if width == _SHARED_WIDTH else local
-    return IntPoly.from_packed(_le_packed(p._gt, width, local, shared), width)
+    gt = bytes(p._gt) if p.size <= 8 else p._gt
+    return IntPoly.from_packed(_le_packed(gt, width, local, shared), width)
 
 
 def descent_gf(p: Poset, force: bool = False) -> IntPoly:

@@ -19,6 +19,7 @@ from weakbruhat.perm import (
     leq_weak,
     longest_element,
     parse_permutation,
+    word_text,
 )
 from weakbruhat.weak_order import interval
 
@@ -267,3 +268,29 @@ def test_str_forms():
     assert str(Permutation((4, 1, 3, 2))) == "4132"
     big = identity(10)
     assert str(big) == "1,2,3,4,5,6,7,8,9,10"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_text_is_the_comma_free_join(n):
+    for pi in all_permutations(n):
+        text = "".join(map(str, pi.word))
+        assert word_text(pi.word) == word_text(bytes(pi.word)) == str(pi) == text
+
+
+def test_word_text_prints_a_zero_letter():
+    # phi_inverter's failure message prints the construction's unfilled zeros
+    assert word_text((0, 2, 0, 1)) == "0201"
+    assert word_text([0] * 9) == "0" * 9
+
+
+@pytest.mark.parametrize("word", [(10,), (1, 12, 3), (4, 255, 1), (2, 256), (1, -1), (-3,), (9,) * 8 + (10,)])
+def test_word_text_refuses_short_words_with_letters_past_9(word):
+    with pytest.raises(ValueError):
+        word_text(word)
+
+
+def test_word_text_keeps_commas_from_10_letters():
+    assert word_text(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
+    assert word_text(bytes(range(10, 0, -1))) == "10,9,8,7,6,5,4,3,2,1"
+    assert word_text((0,) * 10) == ",".join("0" * 10)
+    assert word_text(tuple(range(300, 0, -1))) == ",".join(map(str, range(300, 0, -1)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weakbruhat import poset
 from weakbruhat.errors import GuardExceeded
-from weakbruhat.perm import Permutation, all_permutations
+from weakbruhat.perm import Permutation, all_permutations, identity
 from weakbruhat.poset import (
     Poset,
     _ideal_masks,
@@ -26,7 +26,9 @@ from weakbruhat.poset import (
     ordinal_sum,
 )
 from weakbruhat.qpoly import ONE, pack_width, q_binomial, q_factorial
+from weakbruhat.separable import is_separable
 from weakbruhat.verify import _all_posets
+from weakbruhat.weak_order import interval, rank_gf
 
 
 def strict_pairs(p):
@@ -235,6 +237,81 @@ def test_shared_table_stays_bounded_on_other_posets(monkeypatch):
         poset._shared_le.clear()
         cold.append(le_gf(p))
     assert warm == cold
+
+
+def _le_by_extension_words(p):
+    """The independent route: inversions of each extension word."""
+    hist = [0] * (p.size * (p.size - 1) // 2 + 1)
+    for w in poset._extension_words(p):
+        hist[sum(a > b for a, b in combinations(w, 2))] += 1
+    while len(hist) > 1 and not hist[-1]:
+        hist.pop()
+    return tuple(hist)
+
+
+def test_le_gf_on_byte_rows_matches_the_extension_words_on_every_small_poset():
+    for k in range(1, 5):
+        for p in _all_posets(k):
+            assert le_gf(p).coeffs == _le_by_extension_words(p), p
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_le_gf_on_byte_rows_matches_interval_bfs(n):
+    for pi in all_permutations(n):
+        assert le_gf(inversion_poset(pi)) == rank_gf(interval(identity(n), pi)), pi
+
+
+def _near_identity_non_separable(rng, n):
+    # a 2413 block and a few adjacent swaps keep the lower interval small
+    while True:
+        w = list(range(1, n + 1))
+        j = rng.randrange(n - 3)
+        w[j : j + 4] = [j + 2, j + 4, j + 1, j + 3]
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(n - 1)
+            w[i], w[i + 1] = w[i + 1], w[i]
+        pi = Permutation(w)
+        if not is_separable(pi):
+            return pi
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_le_gf_hands_8_point_children_to_byte_rows(monkeypatch, n):
+    # 9 and 10 points recurse on tuple rows; their 8-point children, and
+    # everything below, on bytes
+    rows = []
+    packed = poset._le_packed
+
+    def record(gt, *args):
+        rows.append((type(gt), len(gt)))
+        return packed(gt, *args)
+
+    monkeypatch.setattr(poset, "_le_packed", record)
+    rng = random.Random(34 + n)
+    for _ in range(25):
+        pi = _near_identity_non_separable(rng, n)
+        poset._shared_le.clear()
+        assert le_gf(inversion_poset(pi)) == rank_gf(interval(identity(n), pi)), pi
+    assert {size for kind, size in rows if kind is tuple} == set(range(9, n + 1))
+    assert {kind for kind, size in rows if size <= 8} == {bytes}
+    assert (bytes, 8) in rows
+
+
+@pytest.mark.parametrize("a, b", [(1, 7), (4, 4), (1, 8), (8, 1), (4, 5), (5, 4), (3, 6), (5, 5), (9, 1), (2, 8)])
+def test_product_rules_across_the_8_9_boundary(a, b):
+    # the sum has a + b points, the parts a and b: tuple rows on one
+    # side of the boundary, bytes on the other
+    rng = random.Random(100 * a + b)
+    for _ in range(3):
+        ps = []
+        for k in (a, b):
+            order = rng.sample(range(1, k + 1), k)
+            pairs = [tuple(rng.sample(range(1, k + 1), 2)) for _ in range(k if k > 1 else 0)]
+            ps.append(Poset(k, [(x, y) for x, y in pairs if order.index(x) < order.index(y)]))
+        p, q = ps
+        gp, gq = le_gf(p), le_gf(q)
+        assert le_gf(ordinal_sum(p, q)) == gp * gq, (p, q)
+        assert le_gf(disjoint_union(p, q)) == gp * gq * q_binomial(a + b, a), (p, q)
 
 
 def test_descent_gf_antichain_is_eulerian():

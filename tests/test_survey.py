@@ -418,6 +418,13 @@ def test_shared_le_table_keeps_only_small_posets(monkeypatch, capsys):
     assert len(poset._shared_le) <= sum(factorial(k) for k in range(2, 8))
 
 
+def test_shared_le_table_is_keyed_by_byte_rows(monkeypatch):
+    monkeypatch.setattr(poset, "_shared_le", {})
+    scan(7, workers=1)
+    assert poset._shared_le
+    assert all(type(key) is bytes and len(key) <= 7 for key in poset._shared_le)
+
+
 def test_record_tuple_rejects_malformed_gf(monkeypatch):
     # the per-record validation is the survey's own safety net
     from weakbruhat.qpoly import IntPoly

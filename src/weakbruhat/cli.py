@@ -310,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--side", choices=("below", "above"), default="below")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--gf", action="store_true", help="print the rank generating function")
+    group.add_argument("--gf", action="store_true", help="print the rank generating function, as text also under --json")
     group.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(handler=_cmd_interval)

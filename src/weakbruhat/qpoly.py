@@ -11,7 +11,10 @@ Products go through packed integers (Kronecker substitution): at
 q = 2^width a polynomial is one int with a signed slot per coefficient,
 so one int product multiplies two polynomials whose product fits the
 slots.  le_gf, and qint_product's prod [i]^(e_i) over a list e_2..e_n
-(the block recursion, q_factorial, q_binomial), compute on such ints.
+(the block recursion, the 231 distance product, q_factorial, q_binomial),
+compute on such ints.  An LRU memo of 4096 entries keeps the expansion
+of each tuple of at most 8 exponents (n <= 9, degree <= 36), which the
+exhaustive routes repeat; the long word of a query keeps none.
 
 The cyclotomic-product test packs each polynomial once, at its own
 slot width: whole bytes with 16 bits of room above the largest
@@ -271,17 +274,25 @@ def _pairwise_prod(values: list[int]) -> int:
     return prod(values)
 
 
-def qint_product(exponents: list[int]) -> IntPoly:
+def qint_product(exponents: Iterable[int]) -> IntPoly:
     """prod [i]^(e_i) with e_i = exponents[i - 2], a polynomial with nonnegative
-    coefficients as a generating function is: packed powers of [i] multiplied
-    (pairwise past 8), divided once by the negative ones, unpacked.  A coefficient
-    of a partial product or of the result is at most prod i^e_i over e_i > 0, the
-    numerator at q = 1, so slots one bit wider, and at least pack_width of the
-    largest i, never spill; a remainder raises NonzeroRemainder.
+    coefficients as a generating function is; _expand's memo keeps it for at most
+    8 exponents, and a longer vector is expanded on every call.
 
     >>> print(qint_product([-1, 0, 1]))  # [4] / [2]
     1 + q^2
     """
+    key = tuple(exponents)
+    return (_expand if len(key) <= 8 else _expand.__wrapped__)(key)
+
+
+@lru_cache(maxsize=4096)
+def _expand(exponents: tuple[int, ...]) -> IntPoly:
+    """qint_product's expansion: packed powers of [i] multiplied (pairwise past
+    8), divided once by the negative ones, unpacked.  A coefficient of a partial
+    product or of the result is at most prod i^e_i over e_i > 0, the numerator
+    at q = 1, so slots one bit wider, and at least pack_width of the largest i,
+    never spill; a remainder raises NonzeroRemainder, which is never cached."""
     top = prod([i**e for i, e in enumerate(exponents, 2) if e > 0])  # the numerator at q = 1
     width = max(pack_width(len(exponents) + 1), top.bit_length() + 1)
     up = [_packed_qint(i, width) ** e for i, e in enumerate(exponents, 2) if e > 0]

@@ -31,7 +31,7 @@ from math import factorial, prod
 
 from .errors import Not231Avoiding, NotSeparable
 from .perm import Permutation, avoids_231
-from .qpoly import ONE, IntPoly, q_factorial, q_int, qint_product
+from .qpoly import IntPoly, q_factorial, qint_product
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -250,7 +250,8 @@ def gf_below_231(pi: Permutation) -> IntPoly:
     """Product formula for 231-avoiding permutations: c_i is the
     distance from position i to the first later position carrying a
     larger letter (to one past the end when none does), and the value
-    is the product of the q-integers [c_i].
+    is the product of the q-integers [c_i], which qint_product expands
+    from the count of each c_i.
 
     >>> print(gf_below_231(Permutation((1, 4, 2, 3, 6, 5))))
     1 + 2*q + 2*q^2 + q^3
@@ -259,13 +260,13 @@ def gf_below_231(pi: Permutation) -> IntPoly:
         raise Not231Avoiding(f"{pi} contains 231")
     w = pi.word
     n = len(w)
-    value = ONE
+    counts = [0] * (n + 1)
     for i in range(n):
         j = i + 1
         while j < n and w[j] < w[i]:
             j += 1
-        value = value * q_int(j - i)
-    return value
+        counts[j - i] += 1
+    return qint_product(counts[2:])
 
 
 def gf_above_from_complement(pi: Permutation) -> IntPoly:

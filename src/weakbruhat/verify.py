@@ -291,7 +291,9 @@ def suite_formula(n_max: int, force: bool = False) -> SuiteResult:
 
 def suite_explicit_231(n_max: int, force: bool = False) -> SuiteResult:
     """The per-letter distance product for 231-avoiding permutations
-    against the block recursion, linear extensions, and brute force."""
+    against the block recursion, linear extensions, and brute force.
+    The product and the recursion both expand through qint_product; the
+    le_gf and BFS tallies share no code with it or with _merge."""
     catalan, recursion, extensions, brute = tallies = (
         _Tally("231-avoiding counts match the Catalan numbers", "n <= {n}"),
         _Tally("distance product matches the block recursion", _WORDS),

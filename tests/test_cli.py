@@ -207,6 +207,18 @@ def test_interval_gf(capsys):
     assert out.strip() == "1 + 2*q + 2*q^2 + 2*q^3 + q^4"
 
 
+def test_interval_gf_stays_text_under_json(capsys):
+    # --json leaves --gf's one line of polynomial text as it is
+    for side in ("below", "above"):
+        _, plain, _ = run(capsys, "interval", "4132", "--side", side, "--gf")
+        code, out, err = run(capsys, "--json", "interval", "4132", "--side", side, "--gf")
+        assert code == 0 and err == ""
+        assert out == plain
+    code, out, _ = run(capsys, "interval", "4132", "--gf", "--json")
+    assert code == 0
+    assert out == "1 + 2*q + 2*q^2 + 2*q^3 + q^4\n"
+
+
 def test_interval_summary_and_dot(capsys):
     code, out, _ = run(capsys, "interval", "321", "--side", "below")
     assert code == 0

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbruhat.errors import NonzeroRemainder
-from weakbruhat.perm import Permutation
+from weakbruhat.perm import Permutation, all_permutations
 from weakbruhat.qpoly import (
     ONE,
     IntPoly,
     _digits_fit,
+    _expand,
     _orders_upto,
     cyclotomic,
     is_cyclotomic_product,
@@ -26,7 +27,7 @@ from weakbruhat.qpoly import (
     q_int,
     qint_product,
 )
-from weakbruhat.separable import gf_below_recursive
+from weakbruhat.separable import gf_below_recursive, is_separable, qint_exponents
 
 ZERO = IntPoly()
 
@@ -139,6 +140,45 @@ def test_expansion_width_is_taken_from_the_numerator():
 def test_expansion_rejects_a_divisor_that_leaves_a_remainder():
     with pytest.raises(NonzeroRemainder):
         qint_product([1, -1])
+
+
+def test_memo_answers_as_the_uncached_expansion():
+    # both sides of every separable word of S_1..S_8, and every Gaussian
+    # binomial up to k = 9: the memo's shared answer against a fresh one
+    vectors = set()
+    for n in range(1, 9):
+        for pi in all_permutations(n):
+            if is_separable(pi):
+                g = qint_exponents(pi)
+                vectors.update((tuple(g), tuple(1 - e for e in g)))
+    for k in range(10):
+        for m in range(k + 1):
+            vectors.add(tuple(1 - (i <= m) - (i <= k - m) for i in range(2, k + 1)))
+    for key in vectors:
+        assert len(key) <= 8
+        assert qint_product(key) == _expand.__wrapped__(key), key
+        assert qint_product(list(key)) is qint_product(key), key
+
+
+def test_memo_caches_no_remainder():
+    # an exception is never cached: the second call expands and raises again
+    for _ in range(2):
+        with pytest.raises(NonzeroRemainder):
+            qint_product([1, -1])
+
+
+def test_memo_admits_at_most_8_exponents():
+    assert _expand.cache_info().maxsize is not None
+    qint_product([1] * 8)
+    size = _expand.cache_info().currsize
+    for key in ([1] * 9, [0] * 9, [-1, 0, 1, 0, 0, 0, 0, 0, 0], [1] * 20):
+        assert qint_product(key) == _expand.__wrapped__(tuple(key)), key
+        assert _expand.cache_info().currsize == size, key
+
+
+def test_memo_keys_a_list_and_a_tuple_alike():
+    for key in ([1, 0, 1], [-1, 0, 1], [1] * 8, [1] * 12):
+        assert qint_product(key) == qint_product(tuple(key)) == qint_product(iter(key)), key
 
 
 def test_a_long_skew_sum_takes_one_binomial():

@@ -6,7 +6,7 @@ import gc
 import json
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from weakbruhat import separable
 from weakbruhat.errors import Not231Avoiding, NotSeparable
-from weakbruhat.perm import Permutation, all_permutations, compose, identity, longest_element
+from weakbruhat.perm import Permutation, all_permutations, avoids_231, compose, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
 from weakbruhat.qpoly import ONE, IntPoly, is_cyclotomic_product, q_factorial, q_int
 from weakbruhat.separable import (
@@ -530,6 +530,27 @@ def test_gf_below_231_matches_recursion(n):
     for pi in all_permutations(n):
         if not pi.contains_pattern((2, 3, 1)):
             assert gf_below_231(pi) == gf_below_recursive(pi)
+
+
+def _distance_product(word):
+    # the repeated IntPoly product of q_int(c_i), c_i the distance from i to
+    # the first larger letter to its right, or to one past the end
+    n = len(word)
+    value = ONE
+    for i, a in enumerate(word):
+        c = next((j for j in range(i + 1, n) if word[j] > a), n) - i
+        value = value * q_int(c)
+    return value
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gf_below_231_is_the_repeated_q_int_product(n):
+    avoiders = 0
+    for pi in all_permutations(n):
+        if avoids_231(pi.word):
+            assert gf_below_231(pi) == _distance_product(pi.word), pi
+            avoiders += 1
+    assert avoiders == comb(2 * n, n) // (n + 1)  # the Catalan number
 
 
 def _tree_dict(node):

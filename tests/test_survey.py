@@ -10,7 +10,8 @@ import pytest
 
 from weakbruhat import poset, survey
 from weakbruhat.errors import CheckpointError, GuardExceeded, UsageError
-from weakbruhat.perm import Permutation, identity
+from weakbruhat.perm import Permutation, all_permutations, identity
+from weakbruhat.separable import is_separable, qint_exponents
 from weakbruhat.survey import (
     SurveyRecord,
     iter_records,
@@ -454,7 +455,8 @@ def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
     from weakbruhat.qpoly import cyclotomic
 
     n = 7
-    for table in (cyclotomic, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic, qpoly._packed_qint):
+    tables = (cyclotomic, survey._predicates, qpoly._orders_upto, qpoly._packed_cyclotomic, qpoly._packed_qint, qpoly._expand)
+    for table in tables:
         table.cache_clear()
     widths = set()
     slot_width = qpoly._slot_width
@@ -470,6 +472,13 @@ def test_memo_tables_hold_quadratically_many_entries(monkeypatch):
     # at most one packed [i] per (i, width): every word of S_n is expanded
     # at pack_width(n)
     assert 0 < qpoly._packed_qint.cache_info().currsize <= n - 1
+    # one expansion per exponent vector: the words' g and the complements' 1 - g
+    vectors = set()
+    for pi in all_permutations(n):
+        if is_separable(pi):
+            g = qint_exponents(pi)
+            vectors.update((tuple(g), tuple(1 - e for e in g)))
+    assert 0 < qpoly._expand.cache_info().currsize <= len(vectors)
     # is_cyclotomic_product keeps one (d, phi(d)) list per power of two
     # up to the largest degree, [n]!'s, and one packed Phi_d per order
     # tried at each slot width

@@ -27,7 +27,6 @@ from .poset import (
     disjoint_union,
     inversion_poset,
     le_gf,
-    linear_extensions,
     order_polynomial_values,
     ordinal_sum,
 )
@@ -37,7 +36,6 @@ from .qpoly import (
     is_cyclotomic_product,
     q_binomial,
     q_factorial,
-    q_int,
 )
 from .separable import (
     gf_above_closed,
@@ -49,7 +47,7 @@ from .separable import (
     is_separable,
     separating_tree,
 )
-from .survey import SurveyRecord, SurveyReport, iter_records, scan, schroder
+from .survey import SurveyRecord, SurveyReport, scan, schroder
 from .weak_order import (
     Interval,
     all_saturated_chains,
@@ -94,10 +92,8 @@ __all__ = [
     "invert_phi",
     "is_cyclotomic_product",
     "is_separable",
-    "iter_records",
     "le_gf",
     "leq_weak",
-    "linear_extensions",
     "longest_element",
     "order_polynomial_values",
     "ordinal_sum",
@@ -106,7 +102,6 @@ __all__ = [
     "phi_inverter",
     "q_binomial",
     "q_factorial",
-    "q_int",
     "rank_gf",
     "reduced_words",
     "scan",

@@ -8,9 +8,9 @@ For each u, t = bytes.maketrans(u, bytes(range(1, n + 1))) sends each
 letter of u to its position, so the image of (u, v) is v.translate(t).
 The check thus builds no Permutation per pair, and its images compare
 and sort as tuple words would.  Permutation objects are built only for
-PairTable.entries and the collisions of a failed check.  A table holds
-words of at most MAX_LETTERS letters, and without force at most
-weak_order.WORD_BUDGET pairs.
+the collisions of a failed check.  A table holds words of at most
+MAX_LETTERS letters, and without force at most weak_order.WORD_BUDGET
+pairs.
 phi_inverter(pi) tests pi's separability and builds its separating tree
 and its perm.inversion_table once, and returns a function that inverts
 phi at any number of targets w.  Since phi(u, v) = w says that
@@ -66,8 +66,7 @@ def _csv_field(word: bytes) -> str:
 class PairTable:
     """The pairs (u, v) with u <= pi <= v.  below and above hold the
     words of the two intervals as bytes, in interval order (by rank,
-    then word); the pairs run u-major over them.  Permutation objects
-    are built only by entries."""
+    then word); the pairs run u-major over them."""
 
     pi: Permutation
     below: tuple[bytes, ...]
@@ -78,12 +77,6 @@ class PairTable:
         ident = bytes(range(1, self.pi.size + 1))
         tables = [bytes.maketrans(u, ident) for u in self.below]
         return [v.translate(t) for t in tables for v in self.above]
-
-    @property
-    def entries(self) -> dict:
-        """{(u, v): phi(u, v)} as Permutations, in pair order."""
-        pairs = product(map(_perm, self.below), map(_perm, self.above))
-        return dict(zip(pairs, map(_perm, self.images())))
 
     def to_csv(self) -> str:
         """Rows (u, v, w) sorted by w, then u."""

@@ -1,6 +1,6 @@
 """Permutations in one-line notation, with the operations that drive
-the (right) weak order: inversion count, composition, pattern
-containment and the order test itself.
+the (right) weak order: inversion count, composition, 231 avoidance
+and the order test itself.
 
 A permutation of size n is a word of the integers 1..n, each exactly
 once.  Composition follows (sigma tau)(i) = sigma(tau(i)), so
@@ -13,8 +13,7 @@ letters at word positions i and i+1:
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from operator import itemgetter, lt
+from itertools import permutations
 from typing import Iterable, Iterator
 
 
@@ -106,29 +105,6 @@ class Permutation:
         w = self.word
         return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
-    def contains_pattern(self, pattern) -> bool:
-        """Subsequence scan for an order-isomorphic copy: each k-subset
-        of letters is read in the order of the pattern's values, and a
-        copy is one whose letters then increase.
-
-        >>> Permutation((2, 4, 1, 3)).contains_pattern((2, 3, 1))
-        True
-        >>> Permutation((1, 4, 2, 3, 6, 5)).contains_pattern((2, 4, 1, 3))
-        False
-        """
-        if not isinstance(pattern, Permutation):
-            pattern = Permutation(pattern)
-        k = pattern.size
-        if k > self.size:
-            return False
-        if k == 1:
-            return True
-        by_value = itemgetter(*(i - 1 for i in pattern.inverse().word))
-        for vals in map(by_value, combinations(self.word, k)):
-            if all(map(lt, vals, vals[1:])):
-                return True
-        return False
-
 
 def avoids_231(word: tuple[int, ...]) -> bool:
     """True when no letters b, c, a appear in that order with a < b < c.
@@ -137,7 +113,7 @@ def avoids_231(word: tuple[int, ...]) -> bool:
     stack sorts it.  Each letter pops the smaller letters off the stack
     into the output, then goes on; the sort fails when a letter comes in
     below one already output, which then was popped by a larger letter
-    between the two.  contains_pattern((2, 3, 1)) is the reference.
+    between the two.
 
     >>> avoids_231((1, 4, 2, 3, 6, 5)), avoids_231((2, 4, 1, 3))
     (True, False)

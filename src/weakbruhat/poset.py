@@ -43,8 +43,6 @@ class Poset:
     """Strict partial order on 1..n.
 
     >>> p = Poset(3, [(1, 2), (2, 3)])
-    >>> p.less(1, 3)
-    True
     >>> p.covers()
     ((1, 2), (2, 3))
     """
@@ -84,11 +82,6 @@ class Poset:
     @property
     def size(self) -> int:
         return len(self._gt)
-
-    def less(self, a: int, b: int) -> bool:
-        if not (1 <= a <= self.size and 1 <= b <= self.size):
-            raise ValueError(f"({a}, {b}) leaves 1..{self.size}")
-        return self._gt[a - 1] >> (b - 1) & 1 == 1
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse diagram edges (a, b) with a covered by b."""
@@ -187,12 +180,6 @@ def _extension_words(p: Poset) -> Iterator[tuple[int, ...]]:
             word.pop()
 
     return walk((1 << p.size) - 1)
-
-
-def linear_extensions(p: Poset, force: bool = False) -> list[Permutation]:
-    """All linear extensions as permutations, lexicographically sorted."""
-    _check_size(p, force)
-    return [Permutation(w) for w in _extension_words(p)]
 
 
 # Packed generating functions of the sub-posets with at most

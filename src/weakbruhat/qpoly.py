@@ -251,17 +251,6 @@ def pack_width(n: int) -> int:
     return max(64, factorial(n).bit_length() + 1)
 
 
-def q_int(i: int) -> IntPoly:
-    """The q-integer [i] = 1 + q + ... + q^(i-1); [0] = 0.
-
-    >>> print(q_int(4))
-    1 + q + q^2 + q^3
-    """
-    if i < 0:
-        raise ValueError(f"q_int of negative {i}")
-    return IntPoly([1] * i)
-
-
 @lru_cache(maxsize=None)
 def _packed_qint(i: int, width: int) -> int:
     """[i] at q = 2^width: a 1 in each of its i slots."""

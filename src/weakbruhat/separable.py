@@ -91,33 +91,12 @@ def is_separable(pi: Permutation) -> bool:
 
 class Internal:
     """A split of a separating tree over size letters; left and right are
-    Internal nodes or letters.  Equality and hashing read _preorder, in
-    linear time, and repr gives sign and size: none of them recurses."""
+    Internal nodes or letters."""
 
     __slots__ = ("left", "right", "sign", "size")
 
     def __init__(self, left: Internal | int, right: Internal | int, sign: str, size: int):
         self.left, self.right, self.sign, self.size = left, right, sign, size
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Internal and _preorder(self) == _preorder(other)
-
-    def __hash__(self) -> int:
-        return hash(_preorder(self))
-
-    def __repr__(self) -> str:
-        return f"Internal({self.sign}, size={self.size})"
-
-
-def _preorder(root: Internal | int) -> tuple:
-    """Signs of splits and letters of leaves, in preorder: they fix the tree."""
-    tokens, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        tokens.append(node if type(node) is int else node.sign)
-        if type(node) is Internal:
-            stack += (node.right, node.left)
-    return tuple(tokens)
 
 
 def tree_size(node: Internal | int) -> int:

@@ -172,13 +172,6 @@ def _read_rows(rows):
         yield SurveyRecord(word, flags[0], poly, *flags[1:])
 
 
-def iter_records(n: int, force: bool = False):
-    """Single-process record stream in lexicographic word order."""
-    _check_scan_args(n, force)
-    for block, _, _ in _iter_chunk_results(n, workers=1, start=0):
-        yield from _read_rows(block.decode().splitlines())
-
-
 def _check_scan_args(
     n: int, force: bool, workers: int | None = None, out: str | None = None, resume: bool = False
 ) -> None:

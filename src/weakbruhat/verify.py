@@ -109,8 +109,12 @@ def suite_main_theorem(n_max: int, force: bool = False) -> SuiteResult:
     """Product of the two interval generating functions of a separable
     permutation equals the full q-factorial.  The product tally holds by
     construction (gf_above_recursive takes exponents 1 - g_i); the brute
-    tally at n <= 5 and suite_formula's closed formulas are the evidence.
-    A check of the theorem needs a route that shares no code with _merge."""
+    tally at n <= 5 and suite_formula's closed formulas are the evidence,
+    with two tests whose sides come from le_gf, not from _merge:
+    test_separable.py::test_product_is_q_factorial_exactly_for_separable_words
+    (le_gf of P(pi) and of P(pi^c), S_1..S_8) and
+    test_cli.py::test_analyze_checks_match_the_polynomial_route (analyze's
+    two flags, S_1..S_6)."""
     product, schroeder, brute = tallies = (
         _Tally("formula product F(below)*F(above) equals the q-factorial", _SEPARABLE),
         _Tally("separable counts match the Schroeder numbers", "n <= {n}"),
@@ -262,7 +266,7 @@ def suite_formula(n_max: int, force: bool = False) -> SuiteResult:
     generating functions on separable permutations.  The quotient tally
     holds by construction (gf_above_recursive is that quotient); the brute
     tally at n <= 5 and the closed formulas, off separating_tree, are the
-    evidence.  A check of the theorem needs a route sharing no code with _merge."""
+    evidence, with the two le_gf tests that suite_main_theorem names."""
     closed, largest, quotient, brute = tallies = (
         _Tally("closed tree formulas match the block recursions", _SEPARABLE),
         _Tally("largest-split trees give the same closed formulas", _SEPARABLE),

@@ -7,8 +7,8 @@ An upper cover w s_i swaps an ascent a < b of w and adds the one
 inversion (a, b), so a cover of some w <= top stays below top exactly
 when top places b before a: one lookup in top's letter-position table.
 interval walks with that test, each element once, on bytes words up to
-MAX_LETTERS letters.  Interval.ranks, its elements and the chains are
-word tuples: wrap one as Permutation(w) for an object.  WORD_BUDGET caps
+MAX_LETTERS letters.  Interval.elements() and the chains give word
+tuples: wrap one as Permutation(w) for an object.  WORD_BUDGET caps
 the words an interval or pair table may hold without force, at any n.
 """
 
@@ -40,15 +40,11 @@ def check_budget(words: int, force: bool, unit: str = "words") -> None:
 class Interval:
     """A weak order interval: words[k] holds the words of length
     length(bottom) + k, sorted, as the walk built them (bytes up to
-    MAX_LETTERS letters); ranks and elements() give them as tuples."""
+    MAX_LETTERS letters); elements() gives them as tuples."""
 
     bottom: Permutation
     top: Permutation
     words: tuple[tuple[bytes | tuple[int, ...], ...], ...]
-
-    @property
-    def ranks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(map(tuple, rank)) for rank in self.words)
 
     @property
     def size(self) -> int:
@@ -164,7 +160,7 @@ def interval_json(iv: Interval) -> dict:
     return {
         "bottom": str(iv.bottom),
         "top": str(iv.top),
-        "ranks": [[word_text(w) for w in rank] for rank in iv.ranks],
+        "ranks": [[word_text(w) for w in rank] for rank in iv.words],
     }
 
 
@@ -174,7 +170,7 @@ def hasse_dot(iv: Interval) -> str:
     stay below top, found by the same test as the walk."""
     pos = positions(iv.top.word)
     lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for rank in iv.ranks:
+    for rank in iv.words:
         row = " ".join(f'"{word_text(w)}";' for w in rank)
         lines.append(f"  {{ rank=same; {row} }}")
     for w in iv.elements():

@@ -1,15 +1,49 @@
-"""Fixtures and helpers shared across test modules."""
+"""Fixtures and helpers shared across test modules, and the reference
+routines that tests compare the library against."""
 
 import random
 from functools import cache
+from itertools import combinations
+from operator import itemgetter, lt
 
 import pytest
 
-from weakbruhat import separable
+from weakbruhat import separable, survey
 from weakbruhat.bijection import phi_inverter
 from weakbruhat.perm import Permutation, all_permutations
+from weakbruhat.qpoly import IntPoly
 from weakbruhat.separable import is_separable
-from weakbruhat.survey import iter_records
+
+
+def contains_pattern(pi, pattern) -> bool:
+    """Subsequence scan for an order-isomorphic copy of pattern in the
+    Permutation pi: each k-subset of letters is read in the order of the
+    pattern's values, and a copy is one whose letters then increase."""
+    if not isinstance(pattern, Permutation):
+        pattern = Permutation(pattern)
+    k = pattern.size
+    if k > pi.size:
+        return False
+    if k == 1:
+        return True
+    by_value = itemgetter(*(i - 1 for i in pattern.inverse().word))
+    for vals in map(by_value, combinations(pi.word, k)):
+        if all(map(lt, vals, vals[1:])):
+            return True
+    return False
+
+
+def iter_records(n, force=False):
+    """S_n's SurveyRecords in lexicographic word order, from one process,
+    read back through the row reader a resume uses."""
+    survey._check_scan_args(n, force)
+    for block, _, _ in survey._iter_chunk_results(n, workers=1, start=0):
+        yield from survey._read_rows(block.decode().splitlines())
+
+
+def q_int(i):
+    """The q-integer [i] = 1 + q + ... + q^(i-1); [0] = 0."""
+    return IntPoly([1] * i)
 
 
 @pytest.fixture(scope="session")

